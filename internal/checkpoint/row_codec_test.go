@@ -1,11 +1,16 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
-	"dynamast/internal/codec"
 	"dynamast/internal/storage"
 )
 
@@ -61,28 +66,24 @@ func TestRowRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotInstalls proves a snapshot written by a pre-codec
-// (gob) build still reads: every row decodes through the legacy fallback
-// and the legacy-frame counter records it.
-func TestLegacySnapshotInstalls(t *testing.T) {
-	codec.Reset()
+// TestGobSnapshotFrameRejected checks that a checksummed snapshot row
+// without the codec magic — a gob payload, as builds before the binary
+// codec wrote — fails ReadSnapshot with a decode error.
+func TestGobSnapshotFrameRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "site-0.snap")
-	rows := testRows()
-	info, err := WriteLegacySnapshot(path, rows)
-	if err != nil {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(testRows()[0]); err != nil {
 		t.Fatal(err)
 	}
-	if info.Rows != uint64(len(rows)) {
-		t.Fatalf("legacy info rows = %d, want %d", info.Rows, len(rows))
+	var hdr [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload.Bytes(), crcTable))
+	if err := os.WriteFile(path, append(hdr[:], payload.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := VerifySnapshot(path, info); err != nil {
-		t.Fatalf("VerifySnapshot on legacy file: %v", err)
-	}
-	if got := readAll(t, path); !reflect.DeepEqual(got, rows) {
-		t.Fatalf("legacy read mismatch:\n got %+v\nwant %+v", got, rows)
-	}
-	if n := codec.LegacyFrames(codec.SurfaceCheckpoint); n != uint64(len(rows)) {
-		t.Fatalf("legacy frame counter = %d, want %d", n, len(rows))
+	n, err := ReadSnapshot(path, func(Row) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "decode at byte 0") {
+		t.Fatalf("ReadSnapshot of a gob row = %d rows, err %v; want a decode error", n, err)
 	}
 }
 

@@ -16,10 +16,10 @@
 // Magic (0x00) then a format-version byte. A self-contained gob stream can
 // never begin with byte 0x00 (gob prefixes each message with its byte
 // count, encoded as a uvarint that is never zero), so one payload byte
-// distinguishes the binary format from legacy gob frames. Readers of
-// durable data (WAL, checkpoints) use this to fall back to a gob decode
-// per frame, which is what lets a log written partly by an old build and
-// partly by this one replay seamlessly.
+// distinguishes the binary format from gob. The RPC layer uses this to
+// carry bodies without a binary schema (the operator metrics reply) as
+// gob; durable data (WAL, checkpoints) is binary only, and readers reject
+// a checksummed frame without the magic.
 //
 // Integers travel as unsigned LEB128 varints (signed values zig-zag), like
 // Thrift's compact protocol; byte strings are length-prefixed.
@@ -81,7 +81,7 @@ func AppendHeader(buf []byte, v byte) []byte {
 }
 
 // IsBinary reports whether payload begins with this package's magic byte
-// (i.e. is NOT a legacy gob payload).
+// (i.e. is not a gob payload).
 func IsBinary(payload []byte) bool {
 	return len(payload) >= HeaderSize && payload[0] == Magic
 }

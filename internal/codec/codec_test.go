@@ -233,15 +233,11 @@ func TestStatsAccumulate(t *testing.T) {
 	RecordEncode(SurfaceWAL, 100, 5*time.Nanosecond)
 	RecordEncode(SurfaceWAL, 50, 5*time.Nanosecond)
 	RecordDecode(SurfaceRPC, 7, time.Nanosecond)
-	RecordLegacy(SurfaceCheckpoint)
 	if b, d := EncodeStats(SurfaceWAL); b != 150 || d != 10*time.Nanosecond {
 		t.Fatalf("encode stats: %d %v", b, d)
 	}
 	if b, _ := DecodeStats(SurfaceRPC); b != 7 {
 		t.Fatalf("decode stats: %d", b)
-	}
-	if LegacyFrames(SurfaceCheckpoint) != 1 {
-		t.Fatal("legacy counter")
 	}
 	Reset()
 }

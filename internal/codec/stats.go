@@ -37,15 +37,12 @@ func (s Surface) String() string {
 }
 
 // surfaceStats is one surface's process-wide counters. Encode bytes/nanos
-// quantify the serialization cost the codec removed from the hot paths;
-// legacy counts how many gob-format frames the fallback reader decoded
-// (non-zero exactly when recovering data a pre-codec build wrote).
+// quantify the serialization cost the codec removed from the hot paths.
 type surfaceStats struct {
 	encBytes atomic.Uint64
 	encNanos atomic.Uint64
 	decBytes atomic.Uint64
 	decNanos atomic.Uint64
-	legacy   atomic.Uint64
 }
 
 var stats [numSurfaces]surfaceStats
@@ -61,12 +58,6 @@ func RecordDecode(s Surface, n int, d time.Duration) {
 	stats[s].decBytes.Add(uint64(n))
 	stats[s].decNanos.Add(uint64(d))
 }
-
-// RecordLegacy counts one legacy gob frame decoded on surface s.
-func RecordLegacy(s Surface) { stats[s].legacy.Add(1) }
-
-// LegacyFrames returns how many legacy gob frames surface s has decoded.
-func LegacyFrames(s Surface) uint64 { return stats[s].legacy.Load() }
 
 // EncodeStats returns surface s's cumulative encode bytes and time.
 func EncodeStats(s Surface) (bytes uint64, d time.Duration) {
@@ -86,8 +77,8 @@ func Reset() {
 }
 
 // Instrument registers the codec's process-wide counters in reg:
-// dynamast_codec_{encode,decode}_{bytes,nanos}_total and
-// dynamast_codec_legacy_frames_total, each labelled by surface.
+// dynamast_codec_{encode,decode}_{bytes,nanos}_total, each labelled by
+// surface.
 func Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -96,7 +87,6 @@ func Instrument(reg *obs.Registry) {
 	reg.Help("dynamast_codec_encode_nanos_total", "Nanoseconds spent serializing, by wire surface.")
 	reg.Help("dynamast_codec_decode_bytes_total", "Bytes deserialized by the binary codec, by wire surface.")
 	reg.Help("dynamast_codec_decode_nanos_total", "Nanoseconds spent deserializing, by wire surface.")
-	reg.Help("dynamast_codec_legacy_frames_total", "Legacy gob frames decoded by the fallback reader, by wire surface.")
 	for i := Surface(0); i < numSurfaces; i++ {
 		s := &stats[i]
 		lbl := obs.L("surface", i.String())
@@ -108,7 +98,5 @@ func Instrument(reg *obs.Registry) {
 			func() float64 { return float64(s.decBytes.Load()) }, lbl)
 		reg.Func("dynamast_codec_decode_nanos_total", obs.KindCounter,
 			func() float64 { return float64(s.decNanos.Load()) }, lbl)
-		reg.Func("dynamast_codec_legacy_frames_total", obs.KindCounter,
-			func() float64 { return float64(s.legacy.Load()) }, lbl)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,13 +53,12 @@ type RecoveryStats struct {
 	Seq uint64
 	// RowsRestored counts snapshot rows installed across sites.
 	RowsRestored uint64
-	// ReplayedOwn counts redo records each site replayed from its own log
-	// (deterministic: refresh appliers never touch a site's own
-	// dimension, so this is exactly the post-checkpoint commit suffix).
+	// ReplayedOwn counts the update transactions sites replayed from their
+	// own logs: per site, its own log end minus the sequence its snapshot
+	// covered (exactly the post-checkpoint commit suffix).
 	ReplayedOwn uint64
-	// ReplayedRefresh counts refresh records applied synchronously during
-	// recovery catch-up (the concurrent refresh appliers may claim some of
-	// the same suffix, so this is a lower bound on suffix refresh work).
+	// ReplayedRefresh counts, the same way, the other origins' update
+	// transactions sites replayed past their snapshots.
 	ReplayedRefresh uint64
 	// Duration is Recover's wall time.
 	Duration time.Duration
@@ -285,7 +285,15 @@ func (c *Cluster) verifyCheckpoint(m *checkpoint.Manifest) error {
 	return nil
 }
 
-// recover implements Cluster.Recover: checkpoint restore with fallback.
+// recoverTimeout is how long Recover waits for a site's replay to make
+// progress toward the log ends captured when it starts before it gives up;
+// a replay that keeps advancing may take longer overall.
+var recoverTimeout = time.Minute
+
+// recover implements Cluster.Recover as one sequence: restore the newest
+// verified checkpoint's snapshots if there is one, then replay every log
+// from the manifest's offsets (or from 0 without a checkpoint) through the
+// sites' appliers, then fold mastership.
 func (c *Cluster) recover(initialPlacement map[uint64]int) error {
 	start := time.Now()
 	var st RecoveryStats
@@ -302,17 +310,23 @@ func (c *Cluster) recover(initialPlacement map[uint64]int) error {
 		}
 	}
 
-	var owner map[uint64]int
+	// The replay target: every origin's log end as recovery starts.
+	target := c.broker.LastUpdateSeqs()
+	seedP := make(map[uint64]int, len(initialPlacement))
+	seedE := make(map[uint64]uint64)
+	for p, site := range initialPlacement {
+		seedP[p] = site
+	}
+	var foldOffsets []uint64
 	var maxEpoch uint64
 	if m != nil {
 		st.UsedCheckpoint, st.Seq = true, m.Seq
-		dir := checkpoint.Dir(c.cfg.WALDir, m.Seq)
 		// Partial replication: fold replica-set membership to the capture
-		// before any catch-up runs, so the refresh appliers filter with the
-		// membership the snapshots were taken under. Adds and drops after the
-		// capture are not journaled; the master-hosting reconciliation below
-		// redoes lost adds that matter, and lost drops merely resurrect a
-		// replica the controller can re-drop.
+		// before replay, so the appliers filter with the membership the
+		// snapshots were taken under. Adds and drops after the capture are
+		// not journaled; the master-hosting reconciliation below redoes lost
+		// adds that matter, and lost drops merely resurrect a replica the
+		// controller can re-drop.
 		if c.group.PartialPlacement() && len(m.ReplicaSets) > 0 {
 			c.group.AdoptReplicaSets(m.ReplicaSets)
 			for i, s := range c.sites {
@@ -323,85 +337,62 @@ func (c *Cluster) recover(initialPlacement map[uint64]int) error {
 				s.AdoptHosting(hosted)
 			}
 		}
-		var rows, own, refresh atomic.Uint64
-		errs := make([]error, len(c.sites))
-		var wg sync.WaitGroup
-		for i, s := range c.sites {
-			wg.Add(1)
-			go func(i int, s *sitemgr.Site) {
-				defer wg.Done()
-				nr, err := s.RestoreSnapshot(filepath.Join(dir, checkpoint.SnapshotName(i)), m.SVVs[i])
+		for p, site := range m.Placement {
+			seedP[p] = site
+			seedE[p] = m.PlacementEpochs[p]
+		}
+		foldOffsets, maxEpoch = m.FoldOffsets, m.MaxEpoch
+	}
+
+	// Per site: restore the snapshot if there is one, then replay.
+	var rows atomic.Uint64
+	errs := make([]error, len(c.sites))
+	var wg sync.WaitGroup
+	for i, s := range c.sites {
+		wg.Add(1)
+		go func(i int, s *sitemgr.Site) {
+			defer wg.Done()
+			var ownFrom uint64
+			if m != nil {
+				snap := filepath.Join(checkpoint.Dir(c.cfg.WALDir, m.Seq), checkpoint.SnapshotName(i))
+				nr, err := s.RestoreSnapshot(snap, m.SVVs[i])
 				if err != nil {
 					errs[i] = fmt.Errorf("core: restore site %d: %w", i, err)
 					return
 				}
 				rows.Add(nr)
-				no, err := s.RecoverLocalFrom(m.Offsets[i][i])
-				if err != nil {
-					errs[i] = fmt.Errorf("core: recover site %d: %w", i, err)
-					return
-				}
-				own.Add(no)
-				refresh.Add(s.CatchUpFrom(m.Offsets[i], nil))
-			}(i, s)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
+				ownFrom = m.Offsets[i][i]
+			}
+			errs[i] = s.Recover(ownFrom, target, recoverTimeout)
+		}(i, s)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("core: recovery: %w", err)
+	}
+	st.RowsRestored = rows.Load()
+	// Replay counts follow from the dense log sequences: each site replayed
+	// every origin's entries between its snapshot's vector and the target.
+	for i := range c.sites {
+		for o, want := range target {
+			var from uint64
+			if m != nil {
+				from = m.SVVs[i][o]
+			}
+			if want <= from {
+				continue
+			}
+			if o == i {
+				st.ReplayedOwn += want - from
+			} else {
+				st.ReplayedRefresh += want - from
 			}
 		}
-		st.RowsRestored, st.ReplayedOwn, st.ReplayedRefresh = rows.Load(), own.Load(), refresh.Load()
+	}
 
-		seedP := make(map[uint64]int, len(m.Placement))
-		seedE := make(map[uint64]uint64, len(m.PlacementEpochs))
-		for p, site := range initialPlacement {
-			seedP[p] = site
-		}
-		for p, site := range m.Placement {
-			seedP[p] = site
-			seedE[p] = m.PlacementEpochs[p]
-		}
-		owner, maxEpoch = sitemgr.RecoverMastershipFrom(c.broker, seedP, seedE, m.FoldOffsets)
-		if m.MaxEpoch > maxEpoch {
-			maxEpoch = m.MaxEpoch
-		}
-	} else {
-		// Full redo replay (§V-C), the fallback when no checkpoint is
-		// usable. The empty-placement fold is RecoverMastership plus the
-		// max-epoch scan the recovered selector needs.
-		var own, refresh atomic.Uint64
-		errs := make([]error, len(c.sites))
-		var wg sync.WaitGroup
-		for i, s := range c.sites {
-			wg.Add(1)
-			go func(i int, s *sitemgr.Site) {
-				defer wg.Done()
-				no, err := s.RecoverLocalFrom(0)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: recover site %d: %w", i, err)
-					return
-				}
-				own.Add(no)
-			}(i, s)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		owner, maxEpoch = sitemgr.RecoverMastershipFrom(c.broker, nil, nil, nil)
-		for p, site := range initialPlacement {
-			if _, ok := owner[p]; !ok {
-				owner[p] = site
-			}
-		}
-		for _, s := range c.sites {
-			s.AdoptMastership(owner)
-			refresh.Add(s.CatchUpFrom(nil, nil))
-		}
-		st.ReplayedOwn, st.ReplayedRefresh = own.Load(), refresh.Load()
+	owner, foldEpoch := sitemgr.RecoverMastershipFrom(c.broker, seedP, seedE, foldOffsets)
+	if foldEpoch > maxEpoch {
+		maxEpoch = foldEpoch
 	}
 
 	// Epochs allocated after recovery must out-fence everything logged

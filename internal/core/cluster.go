@@ -701,6 +701,10 @@ func (c *Cluster) WaitQuiesced(timeout time.Duration) error {
 // previous incarnation allocated; sites recover in parallel. A checkpoint
 // that fails verification falls back to the previous one, and with no
 // usable checkpoint recovery degrades to the paper's full redo replay.
+// Every log, each site's own included, replays through the refresh
+// appliers' dependency gate. If replay cannot reach the log ends found at
+// the start within a minute, Recover returns an error naming the origin
+// and sequence, and the sites that stopped short stay down.
 // Call it on a freshly constructed cluster whose Config.WALDir points at
 // the previous incarnation's logs, after re-creating the schema with
 // CreateTable.

@@ -395,8 +395,9 @@ func TestDurableClusterRecovery(t *testing.T) {
 	}
 	defer c2.Close()
 	c2.CreateTable("kv")
+	target := c2.Broker().LastUpdateSeqs()
 	for _, s := range c2.Sites() {
-		if err := s.RecoverLocal(); err != nil {
+		if err := s.Recover(0, target, 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

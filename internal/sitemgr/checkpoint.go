@@ -27,31 +27,21 @@ func (s *Site) WriteSnapshot(w *checkpoint.SnapshotWriter) (vclock.Vector, error
 }
 
 // RestoreSnapshot installs a (pre-verified) snapshot file's rows into this
-// empty site and adopts its svv, positioning the site for suffix replay
-// with RecoverLocalFrom and CatchUpFrom. Returns the number of rows
-// installed.
+// empty site and adopts its svv, positioning the site for Recover's suffix
+// replay. Returns the number of rows installed.
 func (s *Site) RestoreSnapshot(path string, svv vclock.Vector) (uint64, error) {
 	// Hold every origin's apply mutex across install + clock advance: the
 	// background appliers are already running, and letting one install a
 	// log entry older than a just-restored row would stack a stale version
 	// over the snapshot's newer head. Once the clock reads svv they skip
-	// the covered prefix on their own.
-	for o := range s.applyMu {
-		s.applyMu[o].Lock()
-	}
-	defer func() {
-		for o := range s.applyMu {
-			s.applyMu[o].Unlock()
-		}
-	}()
-	// The appliers may already have installed part of the retained log
-	// (with a truncated-prefix WAL their first dependency gate can pass
-	// before Recover runs), so rows the clock shows as already-covered must
-	// not be imported over the newer heads. The clock is frozen while every
-	// applyMu is held, so one snapshot of it guards the whole import.
-	applied := s.clock.Now()
+	// the covered prefix on their own. The appliers may also have run ahead
+	// of the snapshot before the fence (with a truncated-prefix WAL their
+	// first dependency gate can pass before recovery starts); the
+	// superseding import keeps any head the snapshot did not contain.
+	s.lockAppliers()
+	defer s.unlockAppliers()
 	rows, err := checkpoint.ReadSnapshot(path, func(r checkpoint.Row) error {
-		s.store.ImportRowIfNewer(r.Table, r.Key, r.Data, r.Stamp, applied)
+		s.store.ImportRowSuperseding(r.Table, r.Key, r.Data, r.Stamp, svv)
 		return nil
 	})
 	if err != nil {
@@ -59,9 +49,6 @@ func (s *Site) RestoreSnapshot(path string, svv vclock.Vector) (uint64, error) {
 	}
 	for k, v := range svv {
 		s.clock.Advance(k, v)
-	}
-	if s.id < len(svv) && s.nextSeq.Load() < svv[s.id] {
-		s.nextSeq.Store(svv[s.id])
 	}
 	return rows, nil
 }

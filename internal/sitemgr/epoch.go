@@ -230,15 +230,17 @@ func (s *Site) bufferEpochTxn(seq uint64, tvv vclock.Vector, at time.Time, write
 // one propagation gate, one CanApplyEpoch dependency wait (the closing
 // vector dominates every member's dependencies; see vclock.CanApplyEpoch),
 // one apply-pool slot, one replication-byte account of the coalesced frame,
-// and one svv advance after the members install. Returns false when the
-// site stopped.
+// and one svv advance after the members install. The site's own epochs
+// (recovery replay) are installed without the replication and refresh
+// accounting. Returns false when the site stopped.
 func (s *Site) applyEpoch(origin int, e *wal.Entry) bool {
+	remote := origin != s.id
 	if len(e.Txns) == 0 {
 		return true
 	}
 	last := e.TVV[origin]
 	if last <= s.clock.Get(origin) {
-		return true // already applied (bootstrap/recovery overlap)
+		return true // already applied (restore/bootstrap overlap)
 	}
 	if d := s.cfg.PropagationDelay; d > 0 {
 		if age := time.Since(e.At); age < d {
@@ -261,7 +263,7 @@ func (s *Site) applyEpoch(origin int, e *wal.Entry) bool {
 		return false
 	default:
 	}
-	if s.hosting == nil {
+	if s.hosting == nil && remote {
 		s.net.Account(transport.CatReplication, transport.MsgOverhead+wal.EntryWireSize(e))
 	}
 	applyStart := time.Now()
@@ -274,7 +276,7 @@ func (s *Site) applyEpoch(origin int, e *wal.Entry) bool {
 		for j := range e.Txns {
 			seq := first + uint64(j)
 			if seq <= base {
-				continue // a recovery catch-up already installed this member
+				continue // a snapshot restore or bootstrap already covered this member
 			}
 			t := &e.Txns[j]
 			writes := t.Writes
@@ -296,7 +298,7 @@ func (s *Site) applyEpoch(origin int, e *wal.Entry) bool {
 			s.clock.Advance(origin, last)
 		}
 		s.applyMu[origin].Unlock()
-		if s.hosting != nil && applied > 0 {
+		if s.hosting != nil && remote && applied > 0 {
 			// One filtered coalesced frame: the site receives the same
 			// delta-encoded epoch format carrying only the members whose
 			// writes it hosts. Fully filtered members need no vector on the
@@ -316,6 +318,9 @@ func (s *Site) applyEpoch(origin int, e *wal.Entry) bool {
 		// record is applied as one refresh unit.
 		return s.cfg.Costs.RefreshBase + time.Duration(nWrites)*s.cfg.Costs.PerRefreshWrite
 	})
+	if !remote {
+		return true
+	}
 	s.refreshes.Add(applied)
 	s.ob.refreshBatches.Inc()
 	s.ob.refreshApply.ObserveDuration(time.Since(applyStart))

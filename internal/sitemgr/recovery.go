@@ -1,6 +1,9 @@
 package sitemgr
 
 import (
+	"fmt"
+	"time"
+
 	"dynamast/internal/storage"
 	"dynamast/internal/vclock"
 	"dynamast/internal/wal"
@@ -20,19 +23,9 @@ func (s *Site) BootstrapFrom(peer *Site) {
 	// As in RestoreSnapshot, fence the background appliers for the whole
 	// copy + clock adoption: a refresh entry older than a copied row must
 	// not be installed over it after the copy lands.
-	for o := range s.applyMu {
-		s.applyMu[o].Lock()
-	}
-	defer func() {
-		for o := range s.applyMu {
-			s.applyMu[o].Unlock()
-		}
-	}()
+	s.lockAppliers()
+	defer s.unlockAppliers()
 	peerVV := peer.clock.Now()
-	// Same guard as RestoreSnapshot: our appliers may have outrun the
-	// peer's copy for some rows; a peer row at or below what they already
-	// installed would shadow the newer head.
-	applied := s.clock.Now()
 	for _, name := range peer.store.TableNames() {
 		src := peer.store.Table(name)
 		s.store.CreateTable(name)
@@ -40,7 +33,7 @@ func (s *Site) BootstrapFrom(peer *Site) {
 			if s.hosting != nil && !s.Hosts(s.cfg.Partitioner(storage.RowRef{Table: name, Key: key})) {
 				return
 			}
-			s.store.ImportRowIfNewer(name, key, data, stamp, applied)
+			s.store.ImportRowSuperseding(name, key, data, stamp, peerVV)
 		})
 	}
 	for k, v := range peerVV {
@@ -49,59 +42,46 @@ func (s *Site) BootstrapFrom(peer *Site) {
 	s.nextSeq.Store(peerVV[s.id])
 }
 
-// RecoverLocal replays this site's own redo log into the local store,
-// restoring every update it had committed before the crash, and advances
-// the clock's own dimension accordingly. Remote dimensions are recovered by
-// the refresh appliers re-reading the peers' logs.
-func (s *Site) RecoverLocal() error {
-	_, err := s.RecoverLocalFrom(0)
-	return err
-}
-
-// RecoverLocalFrom replays this site's own redo log starting at offset from
-// (a checkpoint manifest's replay position; 0 = the whole retained log) and
-// returns how many update records it applied. Entries at or below the
-// site's restored clock are skipped, so replaying a slightly-too-early
-// suffix is harmless.
-func (s *Site) RecoverLocalFrom(from uint64) (uint64, error) {
-	cur := s.log.Subscribe(from)
-	defer cur.Close()
-	var applied uint64
-	for {
-		e, ok := cur.TryNext()
-		if !ok {
-			return applied, nil
+// Recover brings a restarted site up to target, each origin's last logged
+// update sequence captured when recovery started. It replays the site's
+// own log from offset ownFrom (a checkpoint manifest's replay position; 0 =
+// the whole retained log) to the log's current end with the same applier —
+// Equation 1 gate, then install — that the refresh appliers started by
+// Start run over every other origin's log, so an own entry installs only
+// after the remote versions it depends on. It waits until the site clock
+// reaches target. If the clock makes no progress for stall, it kills the
+// site and returns an error naming the first origin and sequence replay
+// could not reach: a site whose replay stopped short must not serve, since
+// its own commit sequence may resume only after a complete replay. A long
+// replay that keeps advancing is never cut off.
+func (s *Site) Recover(ownFrom uint64, target vclock.Vector, stall time.Duration) error {
+	s.wg.Add(1)
+	go s.applyLoop(s.id, ownFrom, s.log.Len())
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	progress, deadline := s.clock.Now().Sum(), time.Now().Add(stall)
+	for now := s.clock.Now(); !now.DominatesEq(target); now = s.clock.Now() {
+		if sum := now.Sum(); sum != progress {
+			progress, deadline = sum, time.Now().Add(stall)
+		} else if time.Now().After(deadline) {
+			for o, want := range target {
+				if now[o] < want {
+					s.Kill()
+					return fmt.Errorf("sitemgr: site %d recovery stalled: origin %d seq %d not applied (log ends at seq %d)",
+						s.id, o, now[o]+1, want)
+				}
+			}
 		}
-		switch e.Kind {
-		case wal.KindUpdate:
-			seq := e.TVV[s.id]
-			if seq <= s.clock.Get(s.id) {
-				continue
-			}
-			s.store.Apply(storage.Stamp{Origin: s.id, Seq: seq}, e.Writes)
-			s.clock.Advance(s.id, seq)
-			applied++
-			if s.nextSeq.Load() < seq {
-				s.nextSeq.Store(seq)
-			}
-		case wal.KindEpoch:
-			// Members are seq-dense from FirstSeq; replay each like the
-			// standalone update record it coalesces.
-			first := e.FirstSeq()
-			for j := range e.Txns {
-				seq := first + uint64(j)
-				if seq <= s.clock.Get(s.id) {
-					continue
-				}
-				s.store.Apply(storage.Stamp{Origin: s.id, Seq: seq}, e.Txns[j].Writes)
-				s.clock.Advance(s.id, seq)
-				applied++
-				if s.nextSeq.Load() < seq {
-					s.nextSeq.Store(seq)
-				}
-			}
+		select {
+		case <-s.stopped:
+			return ErrSiteDown
+		case <-tick.C:
 		}
 	}
+	if own := s.clock.Get(s.id); s.nextSeq.Load() < own {
+		s.nextSeq.Store(own)
+	}
+	return nil
 }
 
 // RecoverMastership reconstructs partition ownership by folding the
@@ -307,105 +287,4 @@ func (s *Site) AdoptMastership(owner map[uint64]int) {
 		st.releasing = false
 	}
 	s.pcond.Broadcast()
-}
-
-// CatchUp applies every remaining applicable refresh entry synchronously
-// (without waiting on propagation delay); used by recovery paths and tests
-// to bring a site to a target vector before serving traffic.
-func (s *Site) CatchUp(target vclock.Vector) {
-	s.CatchUpFrom(nil, target)
-}
-
-// CatchUpFrom is CatchUp starting each origin's log at offsets[origin] (a
-// checkpoint manifest's replay positions; nil = from the beginning) and
-// returns how many refresh records it applied. Already-applied entries in
-// the suffix are skipped by sequence, so replay is idempotent.
-func (s *Site) CatchUpFrom(offsets []uint64, target vclock.Vector) uint64 {
-	var applied uint64
-	for {
-		progressed := false
-		for origin := 0; origin < s.m; origin++ {
-			if origin == s.id {
-				continue
-			}
-			var from uint64
-			if origin < len(offsets) {
-				from = offsets[origin]
-			}
-			cur := s.cfg.Broker.Log(origin).Subscribe(from)
-			for {
-				e, ok := cur.TryNext()
-				if !ok {
-					break
-				}
-				if e.Kind == wal.KindEpoch {
-					// A sealed epoch installs as one unit: the closing
-					// vector's dependency check covers every member (see
-					// vclock.CanApplyEpoch), and the clock advances straight
-					// to the last member.
-					first := e.FirstSeq()
-					last := e.TVV[origin]
-					s.applyMu[origin].Lock()
-					if last <= s.clock.Get(origin) {
-						s.applyMu[origin].Unlock()
-						continue
-					}
-					if !vclock.CanApplyEpoch(s.clock.Now(), e.TVV, origin, first) {
-						s.applyMu[origin].Unlock()
-						break
-					}
-					base := s.clock.Get(origin)
-					var n uint64
-					for j := range e.Txns {
-						seq := first + uint64(j)
-						if seq <= base {
-							continue
-						}
-						writes := e.Txns[j].Writes
-						if s.hosting != nil {
-							writes = s.filterHosted(writes)
-						}
-						s.store.Apply(storage.Stamp{Origin: origin, Seq: seq}, writes)
-						n++
-					}
-					s.clock.Advance(origin, last)
-					s.applyMu[origin].Unlock()
-					s.refreshes.Add(n)
-					applied += n
-					progressed = true
-					continue
-				}
-				if e.Kind != wal.KindUpdate {
-					continue
-				}
-				seq := e.TVV[origin]
-				// The background applyLoop may be working the same suffix;
-				// applyMu makes check+install+advance atomic so neither
-				// replier stacks a stale version over the other's newer one.
-				s.applyMu[origin].Lock()
-				if seq <= s.clock.Get(origin) {
-					s.applyMu[origin].Unlock()
-					continue
-				}
-				if !vclock.CanApply(s.clock.Now(), e.TVV, origin) {
-					s.applyMu[origin].Unlock()
-					break
-				}
-				writes := e.Writes
-				if s.hosting != nil {
-					writes = s.filterHosted(writes)
-				}
-				s.store.Apply(storage.Stamp{Origin: origin, Seq: seq}, writes)
-				s.clock.Advance(origin, seq)
-				s.applyMu[origin].Unlock()
-				s.refreshes.Add(1)
-				applied++
-				progressed = true
-			}
-			cur.Close()
-		}
-		if s.clock.Now().DominatesEq(target) || !progressed {
-			return applied
-		}
-	}
 }

@@ -169,12 +169,13 @@ type Site struct {
 	pool      *execPool
 	applyPool *execPool
 
-	// applyMu[origin] makes a replier's {clock check, store install, clock
-	// advance} atomic per origin. The background applyLoop and a recovery
-	// catch-up replay can work the same log suffix concurrently; without
-	// this, one replier may install a stale version on top of a newer one
-	// the other already applied (version chains are newest-first, so a late
-	// stale install poisons the head and every snapshot read after it).
+	// applyMu[origin] makes the origin's applier's {clock check, store
+	// install, clock advance} atomic against the operations that take every
+	// origin's mutex at once: snapshot restore, peer bootstrap and hosting
+	// flips. Without it an applier that passed its dependency gate before a
+	// restore advanced the clock would stack a stale version on top of the
+	// restored head (version chains are newest-first, so a late stale
+	// install poisons the head and every snapshot read after it).
 	applyMu []sync.Mutex
 
 	pmu   sync.Mutex
@@ -403,7 +404,7 @@ func (s *Site) Start() {
 			continue
 		}
 		s.wg.Add(1)
-		go s.applyLoop(origin)
+		go s.applyLoop(origin, 0, followLog)
 	}
 }
 
@@ -459,20 +460,27 @@ func (s *Site) Stop() {
 // grain while catching up.
 const maxRefreshBatch = 64
 
-// applyLoop subscribes to origin's update log and applies committed
-// transactions as refresh transactions, blocking per the update application
-// rule so that a consistent order is maintained (Equation 1). Entries are
-// delivered per-origin FIFO; the rule's svv[origin] == tvv[origin]-1 clause
-// holds exactly when the previous entry from origin has been applied, so
-// the loop only needs to wait on the cross-origin dependency clauses.
+// followLog is applyLoop's end offset for an applier that follows its log
+// until the log closes.
+const followLog = ^uint64(0)
+
+// applyLoop subscribes to origin's update log at offset from and applies
+// committed transactions as refresh transactions, blocking per the update
+// application rule so that a consistent order is maintained (Equation 1).
+// Entries are delivered per-origin FIFO; the rule's svv[origin] ==
+// tvv[origin]-1 clause holds exactly when the previous entry from origin has
+// been applied, so the loop only needs to wait on the cross-origin
+// dependency clauses. It returns once it has consumed every entry before
+// offset end (followLog: when the log closes); recovery replays a site's
+// own log this way (Recover).
 //
 // The loop drains the log in batches (one cursor wake per backlog, not per
 // entry) and applies each batch in chunks of consecutively-ready entries,
 // amortizing dependency waits, network byte accounting, and apply-pool slot
 // acquisition across the chunk.
-func (s *Site) applyLoop(origin int) {
+func (s *Site) applyLoop(origin int, from, end uint64) {
 	defer s.wg.Done()
-	cur := s.cfg.Broker.Log(origin).Subscribe(0)
+	cur := s.cfg.Broker.Log(origin).Subscribe(from)
 	defer cur.Close()
 	// The batch buffer is pooled across applier generations (site restarts,
 	// recovery appliers); entries only borrow the log's write sets, so the
@@ -481,9 +489,13 @@ func (s *Site) applyLoop(origin int) {
 	defer wal.PutBatch(bp)
 	batch := *bp
 	defer func() { *bp = batch }()
-	for {
+	for cur.Offset() < end {
+		limit := uint64(maxRefreshBatch)
+		if left := end - cur.Offset(); left < limit {
+			limit = left
+		}
 		var ok bool
-		batch, ok = cur.NextBatch(batch[:0], maxRefreshBatch)
+		batch, ok = cur.NextBatch(batch[:0], int(limit))
 		if !ok {
 			return // log closed and drained
 		}
@@ -512,6 +524,9 @@ func (s *Site) applyLoop(origin int) {
 // chunk occupies one apply-pool slot and is charged its summed cost.
 // Returns false when the site stopped.
 func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
+	// A site's own log replays through here only in recovery (Recover):
+	// that is a local disk replay, not replication traffic or refreshes.
+	remote := origin != s.id
 	i := 0
 	for i < len(batch) {
 		e := &batch[i]
@@ -525,7 +540,7 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 			continue
 		}
 		if e.Kind != wal.KindUpdate || e.TVV[origin] <= s.clock.Get(origin) {
-			i++ // mastership record, or already applied (bootstrap/recovery overlap)
+			i++ // mastership record, or already applied (restore/bootstrap overlap)
 			continue
 		}
 		// Model asynchronous propagation: the update becomes available
@@ -577,7 +592,7 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 			end++
 		}
 		chunk := batch[i:end]
-		if s.hosting == nil {
+		if s.hosting == nil && remote {
 			var bytes int
 			for j := range chunk {
 				bytes += transport.MsgOverhead +
@@ -595,9 +610,9 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 				seq := c.TVV[origin]
 				s.applyMu[origin].Lock()
 				if seq <= s.clock.Get(origin) {
-					// A recovery catch-up replayed this entry between the
-					// dependency gate and here; installing it now would
-					// stack a stale version over the newer state.
+					// A snapshot restore or bootstrap covered this entry
+					// between the dependency gate and here; installing it
+					// now would stack a stale version over the newer state.
 					s.applyMu[origin].Unlock()
 					continue
 				}
@@ -615,7 +630,7 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 				s.clock.Advance(origin, seq)
 				s.applyMu[origin].Unlock()
 				applied++
-				if s.hosting != nil {
+				if s.hosting != nil && remote {
 					// Per-destination frame filtering: this site receives the
 					// envelope and commit vector (the svv must advance) but
 					// only the write payloads it hosts.
@@ -633,6 +648,10 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 			}
 			return cost
 		})
+		i = end
+		if !remote {
+			continue
+		}
 		s.refreshes.Add(applied)
 		s.ob.refreshBatches.Inc()
 		s.ob.refreshApply.ObserveDuration(time.Since(applyStart))
@@ -647,7 +666,6 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 			s.tracer.RefreshApplied(origin, c.TVV[origin], lag)
 			s.spans.RefreshApplied(origin, c.TVV[origin], s.id, lag, now)
 		}
-		i = end
 	}
 	return true
 }

@@ -656,7 +656,7 @@ func TestRecoveryBootstrapAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered.Store().CreateTable("t")
-	if err := recovered.RecoverLocal(); err != nil {
+	if err := recovered.Recover(0, broker.LastUpdateSeqs(), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if recovered.SVV()[0] != 5 {
@@ -726,8 +726,16 @@ func TestRecoverMastershipFromLogs(t *testing.T) {
 	}
 }
 
+// replayLog runs s's applier over origin's log up to offset end, in the
+// caller's goroutine.
+func replayLog(s *Site, origin int, end uint64) {
+	s.wg.Add(1)
+	s.applyLoop(origin, 0, end)
+}
+
 func TestCatchUp(t *testing.T) {
-	// A non-replicating site catches up synchronously from the logs.
+	// A non-replicating site catches up synchronously from the logs through
+	// the refresh applier bounded at the log end.
 	b := wal.NewBroker(2)
 	defer b.Close()
 	s0, err := New(Config{SiteID: 0, Sites: 2, Broker: b, Partitioner: partitionBy100, Replicate: false})
@@ -750,12 +758,12 @@ func TestCatchUp(t *testing.T) {
 		tx.Write(ref(k), []byte{byte(k)})
 		last = mustCommit(t, tx)
 	}
-	lagger.CatchUp(last)
+	replayLog(lagger, 0, b.Log(0).Len())
 	if !lagger.SVV().DominatesEq(last) {
-		t.Fatalf("CatchUp left svv at %v", lagger.SVV())
+		t.Fatalf("catch-up left svv at %v", lagger.SVV())
 	}
 	if data, ok := lagger.ReadLocal(ref(3)); !ok || data[0] != 3 {
-		t.Fatalf("CatchUp data: %v %v", data, ok)
+		t.Fatalf("catch-up data: %v %v", data, ok)
 	}
 }
 

@@ -468,9 +468,10 @@ func (t *Txn) Commit() (vclock.Vector, error) {
 // commitEpoch is Commit under epoch-based group commit (epoch.go): the
 // critical section installs the versions and buffers the member — no WAL
 // append and no svv advance per transaction; the sealer pays both once per
-// epoch. File-backed sites wait for the covering seal before acking
-// (durability, measured as the WAL-publish stage); in-memory sites ack
-// immediately and the seal publishes replica visibility within one interval.
+// epoch. Every site, file-backed or in-memory, waits for the covering seal
+// before acking (measured as the WAL-publish stage), so an acknowledged
+// commit is always in the log; with the ticker-driven sealer that wait is
+// up to one interval.
 func (t *Txn) commitEpoch(writes []storage.Write, start time.Time) (vclock.Vector, error) {
 	s := t.site
 	s.commitMu.Lock()

@@ -63,7 +63,10 @@ func TestGrantWaitsOnlyForRelevantUpdates(t *testing.T) {
 	tx, _ := s0.Begin(nil, []storage.RowRef{ref(1)})
 	tx.Write(ref(1), []byte("a"))
 	tvv := mustCommit(t, tx)
-	s1.CatchUp(tvv) // site 1 applies partition 0's update synchronously
+	replayLog(s1, 0, b.Log(0).Len()) // site 1 applies partition 0's update synchronously
+	if !s1.SVV().DominatesEq(tvv) {
+		t.Fatalf("site 1 svv %v behind %v", s1.SVV(), tvv)
+	}
 
 	// A later unrelated commit that site 1 never applies.
 	tx2, _ := s0.Begin(nil, []storage.RowRef{ref(501)})

@@ -92,33 +92,6 @@ func (r *Record) ExportAt(snap vclock.Vector) (data []byte, stamp Stamp, ok bool
 	return nil, Stamp{}, false
 }
 
-// ImportRow installs one checkpointed row with its original stamp; used by
-// recovery to rebuild a store from a snapshot file before replaying the WAL
-// suffix on top.
-func (s *Store) ImportRow(table string, key uint64, data []byte, stamp Stamp) {
-	t := s.CreateTable(table)
-	t.Record(key, true).Install(stamp, data, false, s.maxVersions)
-}
-
-// ImportRowIfNewer is ImportRow guarded against replay inversion: when the
-// record already holds versions AND the row is at or below applied[origin]
-// (the importer's clock — everything the running appliers have installed for
-// that origin), the import is skipped and false returned. Install prepends
-// blindly and reads are first-visible-wins, so importing an old snapshot row
-// over a head some applier already advanced past would otherwise shadow the
-// newer state permanently. An empty record always installs: rows that
-// predate the retained WAL (initial loads, truncated prefixes) exist only in
-// the snapshot.
-func (s *Store) ImportRowIfNewer(table string, key uint64, data []byte, stamp Stamp, applied vclock.Vector) bool {
-	t := s.CreateTable(table)
-	r := t.Record(key, true)
-	if r.VersionCount() > 0 && stamp.Origin < len(applied) && stamp.Seq <= applied[stamp.Origin] {
-		return false
-	}
-	r.Install(stamp, data, false, s.maxVersions)
-	return true
-}
-
 // ImportRowSuperseding installs a row exported from another store, guarded
 // against shadowing newer local state: the import proceeds only when the
 // record is empty, or when the local head version was already contained in
@@ -126,11 +99,12 @@ func (s *Store) ImportRowIfNewer(table string, key uint64, data []byte, stamp St
 // as new as anything held here. A local head NOT visible at srcVV is ahead
 // of the exporter (it arrived through a path the exporter had not observed)
 // and must not be buried; version chains are newest-first, so a late stale
-// install would poison every subsequent snapshot read. Replica-add
-// bootstraps and recovery re-bootstraps use this: unlike ImportRowIfNewer's
-// applied-vector guard, it stays correct when the importer's clock covers
-// sequences whose writes were filtered out (partial replication advances the
-// svv past skipped entries).
+// install would poison every subsequent snapshot read. Every row import
+// uses this — checkpoint restore, peer bootstrap, replica-add bootstrap and
+// log rebuild — because it judges the local head by the exporter's
+// snapshot, not by the importer's clock: that clock can cover sequences
+// whose writes were filtered out (partial replication advances the svv
+// past skipped entries), so a guard on it would wrongly skip rows.
 func (s *Store) ImportRowSuperseding(table string, key uint64, data []byte, stamp Stamp, srcVV vclock.Vector) bool {
 	t := s.CreateTable(table)
 	r := t.Record(key, true)

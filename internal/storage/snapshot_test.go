@@ -24,7 +24,7 @@ func TestExportAtRoundtrip(t *testing.T) {
 	dst := NewStore(0)
 	n := 0
 	if !src.ExportAt(svv, func(table string, key uint64, data []byte, stamp Stamp) bool {
-		dst.ImportRow(table, key, data, stamp)
+		dst.ImportRowSuperseding(table, key, data, stamp, svv)
 		n++
 		return true
 	}) {

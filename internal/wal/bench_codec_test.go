@@ -89,8 +89,8 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALReplay measures Open over a 10k-entry log in each format —
-// the restart-latency contribution of entry decoding.
+// BenchmarkWALReplay measures Open over a 10k-entry log — the
+// restart-latency contribution of entry decoding.
 func BenchmarkWALReplay(b *testing.B) {
 	const n = 10_000
 	entries := make([]Entry, n)
@@ -110,24 +110,6 @@ func BenchmarkWALReplay(b *testing.B) {
 			}
 		}
 		l.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l, err := Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if l.Len() != n {
-				b.Fatalf("replayed %d entries", l.Len())
-			}
-			l.Close()
-		}
-	})
-	b.Run("legacy-gob", func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "bench.wal")
-		if err := WriteLegacyLog(path, entries); err != nil {
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,101 +70,79 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyLogReplays proves a log written wholly by a pre-codec (gob)
-// build opens and replays to identical entries through the fallback reader.
-func TestLegacyLogReplays(t *testing.T) {
-	codec.Reset()
+// TestMixedFormatLogReplays proves a log whose prefix was written by one
+// Open and whose suffix was appended after a reopen replays to the exact
+// combined entry sequence, and survives a further reopen.
+func TestMixedFormatLogReplays(t *testing.T) {
+	entries := compatEntries(12)
+	checkTwoSessionReplay(t, entries[:6], entries[6:])
+}
+
+// checkTwoSessionReplay writes prefix through one Open, closes the log,
+// reopens it and appends suffix, then checks the log replays prefix+suffix
+// in order before and after another reopen. Offsets are assigned densely.
+func checkTwoSessionReplay(t *testing.T, prefix, suffix []Entry) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "site-0.wal")
-	want := compatEntries(10)
-	if err := WriteLegacyLog(path, want); err != nil {
-		t.Fatal(err)
+	want := append(append([]Entry(nil), prefix...), suffix...)
+	for i := range want {
+		want[i].Offset = uint64(i)
 	}
+	appendAll := func(upTo int, es []Entry) {
+		l, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range es {
+			if _, err := l.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := allEntries(t, l); !reflect.DeepEqual(got, want[:upTo]) {
+			t.Fatalf("log mismatch after append:\n got %+v\nwant %+v", got, want[:upTo])
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendAll(len(prefix), want[:len(prefix)])
+	appendAll(len(want), want[len(prefix):])
+
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	if got := allEntries(t, l); !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy replay mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	if n := codec.LegacyFrames(codec.SurfaceWAL); n != uint64(len(want)) {
-		t.Fatalf("legacy frame counter = %d, want %d", n, len(want))
+		t.Fatalf("log mismatch after reopen:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestMixedFormatLogReplays proves the upgrade scenario end to end: a log
-// whose prefix was written by a gob build and whose suffix was appended by
-// this build (binary format) replays to the exact combined entry sequence,
-// and survives a further reopen.
-func TestMixedFormatLogReplays(t *testing.T) {
+// TestGobFrameFailsOpen checks that a checksummed record without the codec
+// magic — a gob payload, as builds before the binary codec wrote — fails
+// Open with an error instead of being dropped as a torn tail.
+func TestGobFrameFailsOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "site-0.wal")
-	want := compatEntries(12)
-
-	// The "old build" writes the first half in gob frames.
-	if err := WriteLegacyLog(path, want[:6]); err != nil {
+	entries := compatEntries(2)
+	var gobPayload bytes.Buffer
+	if err := gob.NewEncoder(&gobPayload).Encode(&entries[1]); err != nil {
 		t.Fatal(err)
 	}
-
-	// The "new build" opens the log and appends the second half — these
-	// frames are binary-format, in the same file.
-	l, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range want[6:] {
-		if _, err := l.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := allEntries(t, l); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mixed log mismatch after append:\n got %+v\nwant %+v", got, want)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second recovery replays the gob prefix and binary suffix again.
-	l2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if got := allEntries(t, l2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mixed log mismatch after reopen:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestTruncationRewritesLegacyToBinary checks that the compaction rewrite
-// upgrades legacy frames in place: after SetLowWater on a gob-written log,
-// the surviving suffix is rewritten in the binary format and still replays.
-func TestTruncationRewritesLegacyToBinary(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site-0.wal")
-	want := compatEntries(10)
-	if err := WriteLegacyLog(path, want); err != nil {
+	data := appendFrame(nil, appendEntryPayload(nil, &entries[0]))
+	data = appendFrame(data, gobPayload.Bytes())
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted a gob-framed record")
 	}
-	if _, err := l.SetLowWater(4); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "not in the binary format") {
+		t.Fatalf("Open error %q does not name the format", err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	codec.Reset()
-	l2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if got := allEntries(t, l2); !reflect.DeepEqual(got, want[4:]) {
-		t.Fatalf("post-truncation replay mismatch:\n got %+v\nwant %+v", got, want[4:])
-	}
-	if n := codec.LegacyFrames(codec.SurfaceWAL); n != 0 {
-		t.Fatalf("rewritten log still contains %d legacy frames", n)
+	if st, err := os.Stat(path); err != nil || st.Size() != int64(len(data)) {
+		t.Fatalf("Open rewrote the rejected log: %v %v", st, err)
 	}
 }
 
@@ -191,26 +172,4 @@ func FuzzWALFrameDecode(f *testing.F) {
 			t.Fatalf("decode/encode not idempotent:\n got %+v\nwant %+v", e2, e)
 		}
 	})
-}
-
-// TestLegacyLogFileIsGobFramed sanity-checks the legacy writer really does
-// produce pre-codec bytes: no payload may start with the codec magic.
-func TestLegacyLogFileIsGobFramed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site-0.wal")
-	if err := WriteLegacyLog(path, compatEntries(3)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := 0
-	for off < len(data) {
-		n := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+n]
-		if codec.IsBinary(payload) {
-			t.Fatal("legacy writer produced a binary-format payload")
-		}
-		off += frameHeaderSize + n
-	}
 }

@@ -1,12 +1,8 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"fmt"
 	"hash/crc32"
-	"os"
 	"time"
 
 	"dynamast/internal/codec"
@@ -15,11 +11,7 @@ import (
 
 // Wire schema (format v1) for one log entry. The payload rides inside the
 // CRC-32C frame ([u32 length][u32 CRC][payload]) and begins with the codec
-// magic+version header; the fields follow in declaration order. Legacy logs
-// carry self-contained gob payloads in the same frames — the first payload
-// byte discriminates (gob never starts with 0x00), so one log file may mix
-// both formats and still replay, which is exactly what happens to a log
-// written partly by a pre-codec build and extended by this one.
+// magic+version header; the fields follow in declaration order.
 
 // appendEntryPayload appends e's binary payload (header included) to buf.
 func appendEntryPayload(buf []byte, e *Entry) []byte {
@@ -149,18 +141,12 @@ func decodeEpochTxns(r *codec.Reader, e *Entry) {
 	}
 }
 
-// decodeEntryPayload decodes one frame payload into e, accepting both the
-// binary format and legacy gob (the fallback reader for logs written by
-// pre-codec builds). intern, when non-nil, deduplicates table-name strings
-// across a replay. Decoded slices are freshly allocated — entries live for
-// the life of the log and their write payloads escape into MVCC version
-// chains, so nothing here may alias pooled or mapped memory.
+// decodeEntryPayload decodes one binary frame payload into e. intern, when
+// non-nil, deduplicates table-name strings across a replay. Decoded slices
+// are freshly allocated — entries live for the life of the log and their
+// write payloads escape into MVCC version chains, so nothing here may alias
+// pooled or mapped memory.
 func decodeEntryPayload(payload []byte, e *Entry, intern map[string]string) error {
-	if !codec.IsBinary(payload) {
-		codec.RecordLegacy(codec.SurfaceWAL)
-		*e = Entry{}
-		return gob.NewDecoder(bytes.NewReader(payload)).Decode(e)
-	}
 	r := codec.NewReader(payload)
 	if intern != nil {
 		r.SetIntern(intern)
@@ -189,32 +175,6 @@ func appendFrame(dst, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
-}
-
-// WriteLegacyLog writes entries to path in the pre-codec format — CRC-32C
-// frames around self-contained gob payloads — exactly as builds before the
-// binary codec did. It exists for compatibility tests and downgrade
-// tooling; new logs are always written in the binary format.
-func WriteLegacyLog(path string, entries []Entry) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	var out []byte
-	var encBuf bytes.Buffer
-	for i := range entries {
-		encBuf.Reset()
-		if err := gob.NewEncoder(&encBuf).Encode(&entries[i]); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: legacy encode: %w", err)
-		}
-		out = appendFrame(out, encBuf.Bytes())
-	}
-	if _, err := f.Write(out); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // EntryWireSize returns e's replicated size in bytes — its CRC frame header

@@ -8,9 +8,9 @@
 // assigned dense offsets; subscribers read entries in order via cursors;
 // and a Log may be file-backed, in which case entries are encoded with the
 // zero-allocation binary codec (internal/codec) to an append-only file and
-// can be replayed after a crash. Logs written by pre-codec builds carry gob
-// payloads in the same CRC frames; replay detects the format per frame, so
-// legacy and mixed-format logs recover unchanged.
+// can be replayed after a crash. A checksummed record that is not in the
+// binary format fails Open with an error: the binary frames carry a format
+// version byte, which is the hook for any future format change.
 package wal
 
 import (
@@ -66,12 +66,11 @@ func (k Kind) String() string {
 }
 
 // On-disk framing: every record is [u32 length][u32 CRC-32C][payload], all
-// little-endian, where each payload is a self-contained encoding of one
-// Entry — the binary codec format (first byte 0x00) for records this build
-// writes, legacy gob for records written by older builds. The checksum
-// turns silent corruption and torn tail writes into detectable conditions:
-// Open verifies each frame and truncates the file at the last intact record
-// instead of replaying garbage.
+// little-endian, where each payload is a self-contained binary codec
+// encoding of one Entry (first byte 0x00, then the format version). The
+// checksum turns silent corruption and torn tail writes into detectable
+// conditions: Open verifies each frame and truncates the file at the last
+// intact record instead of replaying garbage.
 const frameHeaderSize = 8
 
 // maxFrame bounds a frame's claimed length so a corrupt header cannot ask
@@ -215,8 +214,10 @@ func New() *Log {
 // Open returns a file-backed log at path, replaying any entries already
 // present (recovery). Every record's CRC-32C is verified; a torn tail write
 // (expected after a crash) or corrupt trailing record is detected, warned
-// about, and truncated away so the log ends at its last intact record.
-// Appends are written through to the file.
+// about, and truncated away so the log ends at its last intact record. A
+// record whose checksum holds but whose payload lacks the codec magic is
+// not a torn write — it is a format this build does not read — and fails
+// Open. Appends are written through to the file.
 func Open(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -228,11 +229,10 @@ func Open(path string) (*Log, error) {
 		return nil, fmt.Errorf("wal: read %s: %w", path, err)
 	}
 
-	// Walk the frames, verifying each checksum and decoding the record
-	// (each frame is a self-contained message — binary codec or legacy
-	// gob, detected per frame); `good` is the byte offset after the last
-	// intact record. One intern dictionary spans the walk so repeated
-	// table names decode to shared strings.
+	// Walk the frames, verifying each checksum and decoding the record;
+	// `good` is the byte offset after the last intact record. One intern
+	// dictionary spans the walk so repeated table names decode to shared
+	// strings.
 	l := New()
 	good := 0
 	decStart := time.Now()
@@ -246,6 +246,10 @@ func Open(path string) (*Log, error) {
 		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(n)]
 		if crc32.Checksum(payload, crcTable) != sum {
 			break // bit rot or torn write inside the record
+		}
+		if !codec.IsBinary(payload) {
+			f.Close()
+			return nil, fmt.Errorf("wal: %s: record at byte %d is not in the binary format", path, off)
 		}
 		var e Entry
 		if err := decodeEntryPayload(payload, &e, intern); err != nil {
@@ -548,10 +552,7 @@ func (l *Log) rewriteFrom(keep uint64) (*os.File, error) {
 		return nil, err
 	}
 	// Re-encode the retained suffix through the same shared scratch the
-	// append path uses (caller holds mu, so the buffers are quiescent);
-	// entries replayed from a legacy gob log are rewritten in the binary
-	// format here, which is how a mixed-format log converges to pure
-	// binary over time.
+	// append path uses (caller holds mu, so the buffers are quiescent).
 	durable := l.visible - l.base // entries with bytes already in the file
 	var out []byte
 	for i := keep; i < durable; i++ {
@@ -778,6 +779,16 @@ func (b *Broker) Instrument(reg *obs.Registry) {
 
 // Sites returns the number of logs.
 func (b *Broker) Sites() int { return len(b.logs) }
+
+// LastUpdateSeqs returns each log's LastUpdateSeq: the vector a site that
+// has applied every logged update reads. Recovery replays up to it.
+func (b *Broker) LastUpdateSeqs() vclock.Vector {
+	v := make(vclock.Vector, len(b.logs))
+	for i, l := range b.logs {
+		v[i] = l.LastUpdateSeq()
+	}
+	return v
+}
 
 // Close closes every log.
 func (b *Broker) Close() error {
