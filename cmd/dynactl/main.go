@@ -48,14 +48,12 @@
 //	                                   window, mean txns per epoch, and the
 //	                                   replication bytes the delta-coalesced
 //	                                   frames saved
-//	selector                           selector control-plane status. Single
-//	                                   router: the node holding the leadership
-//	                                   lease, lease epoch, standby delta-feed
-//	                                   lag, leader-change/renewal/expiry counts
-//	                                   and mean promotion latency. Sharded
-//	                                   (-selector-shards > 1): one row per
-//	                                   router shard — leaseholder, lease epoch,
-//	                                   standby lag, partitions owned and
+//	selector                           selector control-plane status: one
+//	                                   row per router shard (one row
+//	                                   unless -selector-shards > 1) —
+//	                                   leaseholder, lease epoch, standby
+//	                                   lag, leader changes, mean promotion
+//	                                   latency, partitions owned and
 //	                                   routes/sec — plus cross-shard and
 //	                                   placement-cache counters
 package main
@@ -326,26 +324,22 @@ func runEpochs(addr string) error {
 	return nil
 }
 
-// selectorStats is one scrape of the selector-HA metric family for one
-// router shard (or the whole selector when the control plane is unsharded).
+// selectorStats is one scrape of one router shard's selector series.
 type selectorStats struct {
 	present    bool    // any HA-family series seen (the shard/partition gauges share the prefix but exist without a lease)
 	leader     float64 // dynamast_selector_leader (0 = initial master, i+1 = standby i)
 	changes    float64 // dynamast_selector_leader_changes_total
 	epoch      float64 // dynamast_selector_lease_epoch
-	renewals   float64 // dynamast_selector_lease_renewals_total
-	expiries   float64 // dynamast_selector_lease_expiries_total
 	lag        float64 // dynamast_selector_standby_lag
 	promoteSum float64 // dynamast_selector_promotion_seconds_sum
 	promoteCnt float64 // dynamast_selector_promotion_seconds_count
 	routes     float64 // dynamast_selector_shard_routes_total
 	partitions float64 // dynamast_selector_shard_partitions
-	remasters  float64 // dynamast_selector_shard_remasters_total
 }
 
 // selectorScrape is one scrape of the selector control plane: the shard
-// count, per-shard HA/routing series keyed by shard index (-1 = unlabeled,
-// i.e. a single-router deployment), and the cross-shard/cache counters.
+// count, per-shard HA/routing series keyed by their shard label, and the
+// cross-shard/cache counters.
 type selectorScrape struct {
 	shards      int
 	shard       map[int]*selectorStats
@@ -415,12 +409,7 @@ func scrapeSelectorStats(addr string) (*selectorScrape, error) {
 		if !ok {
 			continue
 		}
-		shard := -1
-		if s, found := labels["shard"]; found {
-			if n, err := strconv.Atoi(s); err == nil {
-				shard = n
-			}
-		}
+		shard, _ := strconv.Atoi(labels["shard"]) // group-wide series carry no shard label
 		switch name {
 		case "dynamast_selector_shards":
 			sc.shards = int(v)
@@ -431,10 +420,6 @@ func scrapeSelectorStats(addr string) (*selectorScrape, error) {
 			sc.at(shard).changes = v
 		case "dynamast_selector_lease_epoch":
 			sc.at(shard).epoch = v
-		case "dynamast_selector_lease_renewals_total":
-			sc.at(shard).renewals = v
-		case "dynamast_selector_lease_expiries_total":
-			sc.at(shard).expiries = v
 		case "dynamast_selector_standby_lag":
 			sc.at(shard).lag = v
 		case "dynamast_selector_promotion_seconds_sum":
@@ -445,8 +430,6 @@ func scrapeSelectorStats(addr string) (*selectorScrape, error) {
 			sc.at(shard).routes = v
 		case "dynamast_selector_shard_partitions":
 			sc.at(shard).partitions = v
-		case "dynamast_selector_shard_remasters_total":
-			sc.at(shard).remasters = v
 		case "dynamast_selector_shard_cross_writes_total":
 			sc.crossWrites = v
 		case "dynamast_selector_shard_cross_hints_total":
@@ -466,45 +449,15 @@ func scrapeSelectorStats(addr string) (*selectorScrape, error) {
 	return sc, nil
 }
 
-// printLeaseStats renders one shard's (or the single selector's) lease view.
-func printLeaseStats(st *selectorStats) {
-	who := "initial master"
-	if st.leader > 0 {
-		who = fmt.Sprintf("promoted standby %d", int(st.leader)-1)
-	}
-	fmt.Printf("leader:           node %d (%s)\n", int(st.leader), who)
-	fmt.Printf("lease epoch:      %.0f\n", st.epoch)
-	fmt.Printf("standby lag:      %.0f delta(s) behind the feed\n", st.lag)
-	fmt.Printf("leader changes:   %.0f\n", st.changes)
-	fmt.Printf("lease renewals:   %.0f\n", st.renewals)
-	fmt.Printf("lease expiries:   %.0f\n", st.expiries)
-	if st.promoteCnt > 0 {
-		mean := time.Duration(st.promoteSum / st.promoteCnt * float64(time.Second))
-		fmt.Printf("mean promotion:   %v over %.0f failover(s)\n", mean.Round(time.Microsecond), st.promoteCnt)
-	}
-}
-
-// runSelector scrapes the selector metrics and prints the control plane's
-// state. For a sharded control plane it scrapes twice about a second apart
-// and prints one row per router shard — leaseholder, lease epoch, standby
-// lag, partitions owned, and routes/sec over the window — plus the
-// cross-shard and placement-cache counters. For a single router it prints
-// the classic HA leadership view.
+// runSelector scrapes the selector metrics twice about a second apart and
+// prints one row per router shard — leaseholder, lease epoch, standby lag,
+// leader changes, mean promotion latency, partitions owned, and routes/sec
+// over the window — plus the cross-shard and placement-cache counters.
 func runSelector(addr string) error {
 	before, err := scrapeSelectorStats(addr)
 	if err != nil {
 		return err
 	}
-	if before.shards <= 1 {
-		st := before.shard[-1]
-		if st == nil || !st.present {
-			fmt.Println("selector HA: disabled (-selector-lease 0)")
-			return nil
-		}
-		printLeaseStats(st)
-		return nil
-	}
-
 	start := time.Now()
 	time.Sleep(time.Second)
 	after, err := scrapeSelectorStats(addr)
@@ -519,19 +472,19 @@ func runSelector(addr string) error {
 			haOn = true
 		}
 	}
-	fmt.Printf("selector control plane: %d router shards", after.shards)
+	fmt.Printf("selector control plane: %d router shard(s)", after.shards)
 	if !haOn {
 		fmt.Print(" (no lease; -selector-lease 0)")
 	}
 	fmt.Println()
-	fmt.Printf("%-6s %-24s %-12s %-12s %-11s %s\n",
-		"shard", "leaseholder", "lease epoch", "standby lag", "partitions", "routes/s")
+	fmt.Printf("%-6s %-24s %-12s %-12s %-8s %-15s %-11s %s\n",
+		"shard", "leaseholder", "lease epoch", "standby lag", "changes", "mean promotion", "partitions", "routes/s")
 	for i := 0; i < after.shards; i++ {
 		st := after.shard[i]
 		if st == nil {
 			continue
 		}
-		holder, epoch, lag := "-", "-", "-"
+		holder, epoch, lag, changes, promote := "-", "-", "-", "-", "-"
 		if st.present {
 			holder = "node 0 (initial master)"
 			if st.leader > 0 {
@@ -539,13 +492,17 @@ func runSelector(addr string) error {
 			}
 			epoch = fmt.Sprintf("%.0f", st.epoch)
 			lag = fmt.Sprintf("%.0f", st.lag)
+			changes = fmt.Sprintf("%.0f", st.changes)
+			if st.promoteCnt > 0 {
+				promote = time.Duration(st.promoteSum / st.promoteCnt * float64(time.Second)).Round(time.Microsecond).String()
+			}
 		}
 		rate := st.routes
 		if prev := before.shard[i]; prev != nil {
 			rate = (st.routes - prev.routes) / window
 		}
-		fmt.Printf("%-6d %-24s %-12s %-12s %-11.0f %.1f\n",
-			i, holder, epoch, lag, st.partitions, rate)
+		fmt.Printf("%-6d %-24s %-12s %-12s %-8s %-15s %-11.0f %.1f\n",
+			i, holder, epoch, lag, changes, promote, st.partitions, rate)
 	}
 	fmt.Printf("cross-shard writes: %.0f, co-access hints exchanged: %.0f\n",
 		after.crossWrites, after.crossHints)
@@ -702,11 +659,8 @@ func run(cl *server.Client, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		if shard >= 0 && info.Shards <= 1 {
-			return fmt.Errorf("-shard %d: the selector control plane is not sharded (-selector-shards 1)", shard)
-		}
-		if shard >= info.Shards && info.Shards > 1 {
-			return fmt.Errorf("-shard %d: only %d router shards", shard, info.Shards)
+		if shard >= info.Shards {
+			return fmt.Errorf("-shard %d: only %d router shard(s)", shard, info.Shards)
 		}
 		if info.FullReplication {
 			fmt.Println("placement: full replication (every partition on every site)")
@@ -714,12 +668,10 @@ func run(cl *server.Client, cmd string, args []string) error {
 			fmt.Printf("placement: partial replication, factor [%d, %d]\n",
 				info.MinReplicas, info.MaxReplicas)
 		}
-		if info.Shards > 1 {
-			if shard >= 0 {
-				fmt.Printf("router shards: %d (showing shard %d only)\n", info.Shards, shard)
-			} else {
-				fmt.Printf("router shards: %d\n", info.Shards)
-			}
+		if shard >= 0 {
+			fmt.Printf("router shards: %d (showing shard %d only)\n", info.Shards, shard)
+		} else {
+			fmt.Printf("router shards: %d\n", info.Shards)
 		}
 		fmt.Printf("resident partitions per site: %v\n", info.Residency)
 		parts := make([]uint64, 0, len(info.Masters))
@@ -738,10 +690,7 @@ func run(cl *server.Client, cmd string, args []string) error {
 			} else {
 				continue // full replication, cluster-wide view: masters-only rows add noise
 			}
-			if info.Shards > 1 {
-				fmt.Printf(" shard=%d", selector.RouterShardOf(p, info.Shards))
-			}
-			fmt.Println()
+			fmt.Printf(" shard=%d\n", selector.RouterShardOf(p, info.Shards))
 		}
 		fmt.Printf("replica adds: %d, drops: %d\n", info.Adds, info.Drops)
 		for _, d := range info.Decisions {

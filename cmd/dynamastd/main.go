@@ -83,7 +83,7 @@ func main() {
 	epochInterval := flag.Duration("epoch-interval", dynamast.DefaultEpochInterval, "epoch group-commit seal interval: commits batch into epochs flushed and replicated as one coalesced record (0 = disabled, per-transaction records)")
 	selectorLease := flag.Duration("selector-lease", 0, "selector leadership lease TTL: enables lease-fenced leader failover onto hot-standby replicas (0 = disabled; implies at least 2 selector replicas)")
 	selectorReplicas := flag.Int("selector-replicas", 0, "replica site-selectors fronting the master (0 = stand-alone selector, or 2 when -selector-lease is set)")
-	selectorShards := flag.Int("selector-shards", 1, "independent router shards in the selector control plane, each owning a contiguous partition-range with its own lease and epoch allocator; sessions route off a gossiped placement cache (1 = classic single router)")
+	selectorShards := flag.Int("selector-shards", 1, "independent router shards in the selector control plane, each owning a contiguous partition-range with its own lease and epoch allocator; sessions route off a gossiped placement cache when above 1 (1 = a single router)")
 	replFactor := flag.String("replication-factor", "", "partial replication bounds per partition, \"min\" or \"min:max\" replicas (empty = classic full replication)")
 	placementPolicy := flag.String("placement-policy", "adaptive", "replica placement policy under -replication-factor: adaptive (read-weight driven) or full (every partition everywhere)")
 	flag.Parse()

@@ -74,8 +74,8 @@ type Config struct {
 	// routing loop, statistics stripes, placement controller, and — under
 	// SelectorLease — its own lease and remaster-epoch allocator. Sessions
 	// route reads (and optimistically route writes) off a gossiped
-	// placement cache without touching any router. 0 or 1 keeps the single
-	// router. Use WithSelectorShards.
+	// placement cache without touching any router. 0 or 1 keeps a single
+	// router (a group of one). Use WithSelectorShards.
 	SelectorShards int
 	// SelectorLease, when positive, puts the selector tier under
 	// lease-based leadership (high availability): the replicas double as
@@ -142,9 +142,6 @@ type Cluster struct {
 	net    *transport.Network
 	broker *wal.Broker
 	sites  []*sitemgr.Site
-	sel    *selector.Selector   // shard 0's initial master (compat accessor)
-	repl   *selector.Replicated // shard 0's replica tier (compat accessor)
-	repls  []*selector.Replicated
 	group  *selector.Group
 
 	breakdown Breakdown
@@ -317,92 +314,42 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if shards <= 0 {
 		shards = 1
 	}
-	if shards > selector.MaxRouterShards {
-		c.broker.Close()
-		return nil, fmt.Errorf("core: SelectorShards %d exceeds the maximum %d",
-			shards, selector.MaxRouterShards)
-	}
-
 	replicas := cfg.SelectorReplicas
 	if cfg.SelectorLease > 0 && replicas == 0 {
 		replicas = 2 // HA needs standbys; two matches the paper's testbed headroom
 	}
-
-	// One selector + replica tier per router shard. Single-shard
-	// deployments keep the pre-sharding construction byte for byte: the
-	// selector registers its own metrics and no shard hooks are installed.
-	// Sharded deployments give each shard's selector the group hooks —
-	// ownership guard, foreign-master resolution, group-wide stats and
-	// load — and leave per-selector metrics to the group's shard-labeled
-	// collectors (unlabeled re-registrations would collide).
-	c.repls = make([]*selector.Replicated, shards)
-	selCfgs := make([]selector.Config, shards)
-	for i := 0; i < shards; i++ {
-		selCfg := selector.Config{
+	// One selector + replica tier per router shard; a single router is a
+	// group of one. Under SelectorLease each shard holds its own lease (one
+	// key of a shared keyed store, doubling as that shard's remaster-epoch
+	// allocator), and a shard promotion fences and folds only its own
+	// partition range.
+	c.group, err = selector.NewGroup(selector.GroupConfig{
+		Selector: selector.Config{
 			Sites:         dsites,
 			Partitioner:   cfg.Partitioner,
 			InitialMaster: initial,
 			Weights:       cfg.Weights,
 			Stats:         cfg.Stats,
 			Net:           c.net,
-			Seed:          cfg.Seed + int64(i),
+			Seed:          cfg.Seed,
 			MinReplicas:   minRF,
 			MaxReplicas:   maxRF,
+			Obs:           c.obs,
 			Spans:         c.spans,
-			Hooks:         selector.GroupHooks(i, shards, func() *selector.Group { return c.group }),
-		}
-		if shards == 1 {
-			selCfg.Obs = c.obs
-		}
-		sel, err := selector.New(selCfg)
-		if err != nil {
-			c.broker.Close()
-			return nil, err
-		}
-		if partial {
-			sel.SetReplicaEnsurer(c.ensureHostedAll)
-		}
-		c.repls[i] = selector.NewReplicated(sel, replicas, c.net)
-		selCfgs[i] = selCfg
-	}
-	c.sel = c.repls[0].Master
-	c.repl = c.repls[0]
-
-	// The group dispatches control-plane calls by partition owner and runs
-	// the gossiped placement cache; with one shard it is pure pass-through.
-	// Built before EnableHA so every shard's lease goroutine starts after
-	// c.group is assigned (the hooks read it).
-	c.group, err = selector.NewGroup(selector.GroupConfig{
-		Shards:         c.repls,
-		Cache:          shards > 1,
+		},
+		Shards:         shards,
+		Replicas:       replicas,
+		Lease:          cfg.SelectorLease,
+		Broker:         c.broker,
 		GossipInterval: cfg.PlacementInterval, // reuse the placement cadence knob; 0 = default
-		Obs:            c.obs,
 	})
 	if err != nil {
 		c.broker.Close()
 		return nil, err
 	}
-
-	if cfg.SelectorLease > 0 {
-		// Each shard holds its own lease: one key of a shared keyed store,
-		// doubling as that shard's remaster-epoch allocator. A shard
-		// promotion fences and folds only its own partition range.
-		leases := selector.NewKeyedLeaseStore(cfg.SelectorLease, c.net, shards)
+	if partial {
 		for i := 0; i < shards; i++ {
-			ha := selector.HAConfig{
-				Lease:  cfg.SelectorLease,
-				Broker: c.broker,
-				Obs:    c.obs,
-			}
-			if shards > 1 {
-				ha.Store = leases.View(i)
-				ha.Shard = i
-				ha.Shards = shards
-			}
-			if _, err := c.repls[i].EnableHA(selCfgs[i], ha); err != nil {
-				c.broker.Close()
-				return nil, err
-			}
+			c.group.Shard(i).SetReplicaEnsurer(c.ensureHostedAll)
 		}
 	}
 	c.instrument()
@@ -541,22 +488,14 @@ func (c *Cluster) Load(rows []systems.LoadRow) {
 	}
 }
 
-// leader returns the selector currently holding shard 0's control-plane
-// leadership: the initial master outside HA deployments, the promoted
-// standby's selector after a lease failover. Single-router deployments
-// route every cluster-internal selector use through it; sharded
-// deployments dispatch through c.group instead (leader() then covers only
-// the shard-0 slice of uniform state such as weights).
-func (c *Cluster) leader() *selector.Selector { return c.repl.Leader() }
-
 // Selector exposes the site selector currently holding shard 0's
 // leadership (experiments tweak weights and read routing metrics through
-// it). Outside HA deployments this is always shard 0's master selector;
-// use Group for shard-aware access.
-func (c *Cluster) Selector() *selector.Selector { return c.leader() }
+// it): the initial master outside HA deployments, the promoted standby's
+// selector after a lease failover. Use Group for shard-aware access.
+func (c *Cluster) Selector() *selector.Selector { return c.group.Shard(0) }
 
-// Group exposes the sharded selector control plane (pass-through with one
-// shard).
+// Group exposes the selector control plane (a group of one unless
+// SelectorShards is above 1).
 func (c *Cluster) Group() *selector.Group { return c.group }
 
 // SelectorShardCount returns the number of router shards (1 = unsharded).
@@ -564,11 +503,11 @@ func (c *Cluster) SelectorShardCount() int { return c.group.Shards() }
 
 // SelectorHA exposes shard 0's high-availability state machine, nil unless
 // Config.SelectorLease enabled it. Use SelectorShardHA for other shards.
-func (c *Cluster) SelectorHA() *selector.HA { return c.repl.HA() }
+func (c *Cluster) SelectorHA() *selector.HA { return c.group.Repl(0).HA() }
 
 // SelectorShardHA exposes router shard i's high-availability state
 // machine, nil unless Config.SelectorLease enabled it.
-func (c *Cluster) SelectorShardHA(i int) *selector.HA { return c.repls[i].HA() }
+func (c *Cluster) SelectorShardHA(i int) *selector.HA { return c.group.Repl(i).HA() }
 
 // KillSelector simulates a crash of the selector node currently holding
 // shard 0's leadership and returns its id (0 = initial master, i+1 =
@@ -582,7 +521,7 @@ func (c *Cluster) KillSelector() int { return c.KillSelectorShard(0) }
 // returns its node id. Only that shard's partition range loses its router
 // until a standby promotes — the other shards keep routing. Requires HA.
 func (c *Cluster) KillSelectorShard(i int) int {
-	ha := c.repls[i].HA()
+	ha := c.group.Repl(i).HA()
 	if ha == nil {
 		return -1
 	}
@@ -591,7 +530,7 @@ func (c *Cluster) KillSelectorShard(i int) int {
 
 // SelectorReplicas exposes the replica selector tier (empty unless
 // configured).
-func (c *Cluster) SelectorReplicas() []*selector.Replica { return c.repl.Replicas() }
+func (c *Cluster) SelectorReplicas() []*selector.Replica { return c.group.Repl(0).Replicas() }
 
 // Sites exposes the data sites.
 func (c *Cluster) Sites() []*sitemgr.Site { return c.sites }
@@ -629,12 +568,7 @@ func (c *Cluster) Close() {
 			ctl.Stop() // no replica moves during teardown
 		}
 		c.slo.Stop()
-		c.group.Stop() // cache gossip stops before the selectors go away
-		for _, repl := range c.repls {
-			if ha := repl.HA(); ha != nil {
-				ha.Stop() // no promotions during teardown
-			}
-		}
+		c.group.Stop() // no cache gossip or promotions during teardown
 		close(c.hbStop)
 		close(c.ckptStop)
 		c.hbWG.Wait()

@@ -181,19 +181,9 @@ func (c *Cluster) Failover(dead int) error {
 	// Re-grant shard by shard: each batch's fencing epoch comes from the
 	// owning router shard's allocator (per-shard epochs are incomparable,
 	// so a batch never mixes partitions of two shards), and each shard's
-	// registrations land on that shard's map. With one shard this is the
-	// original whole-cluster scatter unchanged.
+	// registrations land on that shard's map.
 	var firstErr error
-	for si := 0; si < c.group.Shards(); si++ {
-		shardParts := parts
-		if c.group.Shards() > 1 {
-			shardParts = shardParts[:0:0]
-			for _, p := range parts {
-				if c.group.ShardOf(p) == si {
-					shardParts = append(shardParts, p)
-				}
-			}
-		}
+	for si, shardParts := range c.group.PartsByShard(parts) {
 		if len(shardParts) == 0 {
 			continue
 		}
@@ -276,7 +266,7 @@ func (c *Cluster) failoverShard(si, dead int, parts []uint64, survivors []int, r
 			// the heir proactively so replicas stop routing there now
 			// instead of waiting for each cached entry's ErrNotMaster
 			// bounce off a site that can no longer answer at all.
-			c.repls[si].LearnAll(ids, heir)
+			c.group.Repl(si).LearnAll(ids, heir)
 			granted = true
 		}
 		if !granted && firstErr == nil {

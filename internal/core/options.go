@@ -117,9 +117,8 @@ func WithSelectorReplicas(n int) Option {
 // stripes, placement controller, and — under WithSelectorLease — its own
 // lease and remaster-epoch allocator. Sharded deployments also run the
 // gossiped placement cache: sessions route reads, and optimistically route
-// writes, without touching any router. n <= 1 keeps the single-router
-// selector (the default, wire-identical to earlier versions); n above
-// selector.MaxRouterShards is an error.
+// writes, without touching any router. n <= 1 keeps a single router (the
+// default: a group of one); n above selector.MaxRouterShards is an error.
 func WithSelectorShards(n int) Option {
 	return optionFunc(func(c *Config) {
 		if n > selector.MaxRouterShards {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"dynamast/internal/selector"
+	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
 	"dynamast/internal/systems"
 	"dynamast/internal/transport"
@@ -288,6 +290,55 @@ func TestReplicaAddBootstrapRace(t *testing.T) {
 	}
 	if err := c.DropReplica(part, master); err == nil {
 		t.Fatal("dropping the master's replica was allowed")
+	}
+}
+
+// TestReplicaAddBootstrapWindow drives a replica add step by step. Between
+// the hosting flip and the bootstrap copy, reads at the new replica poison
+// with ErrNotHosted (they would miss rows the copy has yet to install), and
+// a write the appliers deliver in that window survives the copy, which is
+// taken at the flip and therefore older.
+func TestReplicaAddBootstrapWindow(t *testing.T) {
+	c := newPartialCluster(t, 3, 1, 3)
+	const part = uint64(0)
+	master := c.Selector().MasterOf(part)
+	tgt := -1
+	for i, s := range c.Sites() {
+		if i != master && !s.Hosts(part) {
+			tgt = i
+			break
+		}
+	}
+	if tgt < 0 {
+		t.Fatal("no non-hosting target site")
+	}
+	site := c.Sites()[tgt]
+	read := func() ([]byte, error) {
+		tx, err := site.Begin(site.SVV(), nil)
+		if err != nil {
+			return nil, err
+		}
+		v, _ := tx.Read(ref(7))
+		_, err = tx.Commit()
+		return v, err
+	}
+
+	cut := site.HostPartition(part) // AddReplica's first step
+	if err := c.Session(1).Update([]storage.RowRef{ref(7)}, func(tx systems.Tx) error {
+		return tx.Write(ref(7), []byte{42})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitQuiesced(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := read(); !errors.Is(err, sitemgr.ErrNotHosted) {
+		t.Fatalf("read mid-bootstrap = %v, err %v; want ErrNotHosted", v, err)
+	}
+	c.Sites()[master].Clock().WaitDominatesEq(cut)
+	site.BootstrapPartitionFrom(c.Sites()[master], part, cut)
+	if v, err := read(); err != nil || string(v) != string([]byte{42}) {
+		t.Fatalf("read after bootstrap = %v, err %v; want the write applied during the add", v, err)
 	}
 }
 

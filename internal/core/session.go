@@ -63,9 +63,9 @@ type Session struct {
 	nextSC obs.SpanContext
 }
 
-// Session opens a session for client id. With replica selectors
-// configured, the session is assigned one round-robin; otherwise it talks
-// to the master selector.
+// Session opens a session for client id, routed by the router the selector
+// group assigns it: the gossiped placement cache when sharded, else a
+// replica selector round-robin when configured, else the group itself.
 func (c *Cluster) Session(id int) *Session {
 	c.sessions.Add(1)
 	return &Session{c: c, id: id, cvv: vclock.New(len(c.sites)), router: c.group.RouterFor(id)}
@@ -267,25 +267,13 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 func (s *Session) routeCtx(ctx context.Context, attempt int, writeSet []storage.RowRef, sc obs.SpanContext) (selector.Route, error) {
 	route := func(cvv vclock.Vector) (selector.Route, error) {
 		if attempt > 0 {
-			// A prior attempt was rejected on stale replica metadata;
+			// A prior attempt was rejected on stale routing metadata;
 			// resubmit through the master selector, keeping any sampled
 			// trace context so the resubmit's remaster spans stay in the
 			// transaction's trace.
-			if sc.Sampled() {
-				if mr, ok := s.router.(masterRouterTraced); ok {
-					return mr.RouteToMasterTraced(s.id, writeSet, cvv, sc)
-				}
-			}
-			if mr, ok := s.router.(masterRouter); ok {
-				return mr.RouteToMaster(s.id, writeSet, cvv)
-			}
+			return s.router.RouteToMaster(s.id, writeSet, cvv, sc)
 		}
-		if sc.Sampled() {
-			if tr, ok := s.router.(tracedRouter); ok {
-				return tr.RouteWriteTraced(s.id, writeSet, cvv, sc)
-			}
-		}
-		return s.router.RouteWrite(s.id, writeSet, cvv)
+		return s.router.RouteWriteTraced(s.id, writeSet, cvv, sc)
 	}
 	if ctx.Done() == nil {
 		return route(s.cvv)
@@ -337,25 +325,6 @@ func (s *Session) beginCtx(ctx context.Context, site *sitemgr.Site, minVV vclock
 		}()
 		return nil, ctx.Err()
 	}
-}
-
-// tracedRouter is the optional routing capability carrying a sampled trace
-// context; both *selector.Selector and *selector.Replica implement it.
-type tracedRouter interface {
-	RouteWriteTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (selector.Route, error)
-}
-
-// masterRouter is the optional stale-metadata fallback: resubmit the
-// routing decision through the master selector after a data site rejected
-// the transaction (*selector.Replica implements it; the master selector
-// itself needs no fallback — its metadata is authoritative).
-type masterRouter interface {
-	RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector) (selector.Route, error)
-}
-
-// masterRouterTraced is masterRouter under a sampled distributed trace.
-type masterRouterTraced interface {
-	RouteToMasterTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (selector.Route, error)
 }
 
 // cachedWriteRouter is the optional zero-RPC optimistic write routing off
@@ -441,13 +410,6 @@ func (s *Session) ReadCtx(ctx context.Context, fn func(systems.Tx) error) error 
 	return s.ReadHintedCtx(ctx, nil, fn)
 }
 
-// partsRouter is the optional partition-aware read routing capability
-// (partial replication); *selector.Selector and *selector.Replica implement
-// it.
-type partsRouter interface {
-	RouteReadParts(client int, cvv vclock.Vector, parts []uint64) selector.Route
-}
-
 // readParts maps a read hint to its deduplicated partition set.
 func (s *Session) readParts(hint []storage.RowRef) []uint64 {
 	parts := make([]uint64, 0, len(hint))
@@ -507,8 +469,8 @@ func (s *Session) ReadHintedCtx(ctx context.Context, hint []storage.RowRef, fn f
 		}
 		if !cached {
 			c.net.Send(transport.CatRoute, transport.MsgOverhead)
-			if pr, ok := s.router.(partsRouter); ok && len(parts) > 0 {
-				route = pr.RouteReadParts(s.id, s.cvv, parts)
+			if len(parts) > 0 {
+				route = s.router.RouteReadParts(s.id, s.cvv, parts)
 			} else {
 				route = s.router.RouteRead(s.id, s.cvv)
 			}

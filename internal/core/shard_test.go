@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamast/internal/obs"
 	"dynamast/internal/selector"
 	"dynamast/internal/storage"
 	"dynamast/internal/systems"
@@ -160,6 +161,49 @@ func TestShardedClusterEndToEnd(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardedRoutingMetricsMatchGroup checks that every router shard reports
+// into the unlabeled routing series: on a 4-shard cluster the registry's
+// write-route and remaster counters equal the group's aggregated counters,
+// and the partition-map collector covers all shards.
+func TestShardedRoutingMetricsMatchGroup(t *testing.T) {
+	c := newShardedCluster(t, 3, 4, nil)
+	sess := c.Session(1)
+	for i := uint64(0); i < 20; i++ {
+		// Two partitions per write: split masters force remastering.
+		a, b := ref(i%10*100), ref((i*3+1)%10*100+1)
+		if err := sess.Update([]storage.RowRef{a, b}, func(tx systems.Tx) error {
+			if err := tx.Write(a, []byte{1}); err != nil {
+				return err
+			}
+			return tx.Write(b, []byte{1})
+		}); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	m := c.Group().Metrics()
+	if m.WriteTxns < 20 || m.RemasterTxns == 0 {
+		t.Fatalf("group metrics = %+v, want >= 20 writes and some remastering", m)
+	}
+	snap := c.Obs().Snapshot()
+	if v, ok := snap.Value("dynamast_route_total", obs.L("type", "write")); !ok || uint64(v) != m.WriteTxns {
+		t.Fatalf("dynamast_route_total{type=write} = %v (present %v), group WriteTxns = %d", v, ok, m.WriteTxns)
+	}
+	if v, ok := snap.Value("dynamast_remaster_total"); !ok || uint64(v) != m.RemasterTxns {
+		t.Fatalf("dynamast_remaster_total = %v (present %v), group RemasterTxns = %d", v, ok, m.RemasterTxns)
+	}
+	var perShard float64
+	for i := 0; i < 4; i++ {
+		v, ok := snap.Value("dynamast_selector_shard_partitions", obs.L("shard", fmt.Sprint(i)))
+		if !ok {
+			t.Fatalf("dynamast_selector_shard_partitions{shard=%d} missing", i)
+		}
+		perShard += v
+	}
+	if v, ok := snap.Value("dynamast_selector_partitions"); !ok || v != perShard || v == 0 {
+		t.Fatalf("dynamast_selector_partitions = %v (present %v), shards sum to %v", v, ok, perShard)
 	}
 }
 

@@ -30,15 +30,11 @@ func benchSelector(b *testing.B, m int, w Weights) *Selector {
 	for i := range sites {
 		sites[i] = &benchSite{id: i, svv: vclock.New(m)}
 	}
-	sel, err := New(Config{
+	return newTestGroup(b, GroupConfig{Shards: 1, Selector: Config{
 		Sites:       sites,
 		Partitioner: func(ref storage.RowRef) uint64 { return ref.Key / 100 },
 		Weights:     w,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sel
+	}}).Shard(0)
 }
 
 // BenchmarkRouteWriteFastPath measures the single-master fast path: the

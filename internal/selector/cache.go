@@ -15,11 +15,12 @@ import (
 const DefaultGossipInterval = 20 * time.Millisecond
 
 // PlacementCache is the gossiped read-only placement view of a sharded
-// selector group: mastership (and, under partial replication, replica-set)
-// snapshots versioned by install epoch. Two feeds keep it fresh:
+// selector group: a placementMirror of every shard's mastership (and, under
+// partial replication, replica sets) versioned by install epoch. Two feeds
+// keep it fresh:
 //
 //   - every shard's existing leader->standby mastership delta feed is
-//     piggybacked into ingest (same deltas, one more consumer), so
+//     piggybacked into the mirror's ingest (same deltas, one more consumer), so
 //     remaster decisions reach the cache with no extra machinery;
 //   - a periodic anti-entropy pull copies each shard leader's placement
 //     snapshot, catching entries the delta feed cannot carry (first-sight
@@ -36,11 +37,7 @@ const DefaultGossipInterval = 20 * time.Millisecond
 type PlacementCache struct {
 	g        *Group
 	interval time.Duration
-
-	mu    sync.RWMutex
-	owner map[uint64]int
-	epoch map[uint64]uint64
-	sets  map[uint64][]int // replica sets; nil under full replication
+	m        *placementMirror
 
 	readRoutes  atomic.Uint64 // reads served with zero router RPCs
 	writeRoutes atomic.Uint64 // writes served with zero router RPCs
@@ -60,8 +57,7 @@ func newPlacementCache(g *Group, interval time.Duration, reg *obs.Registry) *Pla
 	c := &PlacementCache{
 		g:        g,
 		interval: interval,
-		owner:    make(map[uint64]int),
-		epoch:    make(map[uint64]uint64),
+		m:        newPlacementMirror(),
 		stop:     make(chan struct{}),
 	}
 	c.instrument(reg)
@@ -91,20 +87,6 @@ func (c *PlacementCache) stopLoop() {
 	c.wg.Wait()
 }
 
-// ingest applies one mastership delta (piggybacked off a shard's delta
-// feed). Epoch-monotonic per partition: a straggler below the installed
-// epoch never rolls the cache back.
-func (c *PlacementCache) ingest(parts []uint64, site int, epoch uint64) {
-	c.mu.Lock()
-	for _, p := range parts {
-		if epoch >= c.epoch[p] {
-			c.owner[p] = site
-			c.epoch[p] = epoch
-		}
-	}
-	c.mu.Unlock()
-}
-
 // gossip pulls every shard leader's placement snapshot — the anti-entropy
 // pass bounding staleness for entries no delta carries.
 func (c *PlacementCache) gossip() {
@@ -112,47 +94,8 @@ func (c *PlacementCache) gossip() {
 	for i := 0; i < c.g.n; i++ {
 		sel := c.g.Shard(i)
 		placement, epochs := sel.PlacementSnapshot()
-		table := sel.PlacementTable()
-		c.mu.Lock()
-		for p, site := range placement {
-			if c.g.ShardOf(p) != i {
-				continue
-			}
-			if e := epochs[p]; e >= c.epoch[p] {
-				c.owner[p] = site
-				c.epoch[p] = e
-			}
-		}
-		if table != nil {
-			if c.sets == nil {
-				c.sets = make(map[uint64][]int, len(table))
-			}
-			for p, set := range table {
-				if c.g.ShardOf(p) == i {
-					c.sets[p] = set
-				}
-			}
-		}
-		c.mu.Unlock()
+		c.m.merge(placement, epochs, sel.PlacementTable(), func(p uint64) bool { return c.g.ShardOf(p) == i })
 	}
-}
-
-// lookupOwner returns the cached master of every partition if all are
-// cached at the same site.
-func (c *PlacementCache) lookupOwner(parts []uint64) (int, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	site, ok := c.owner[parts[0]]
-	if !ok {
-		return 0, false
-	}
-	for _, p := range parts[1:] {
-		m, ok := c.owner[p]
-		if !ok || m != site {
-			return 0, false
-		}
-	}
-	return site, true
 }
 
 // routeWriteCached serves a write route purely from the cache: all
@@ -168,13 +111,13 @@ func (c *PlacementCache) routeWriteCached(client int, writeSet []storage.RowRef,
 	if len(parts) == 0 {
 		return Route{Site: 0}, true
 	}
-	site, ok := c.lookupOwner(parts)
+	site, ok := c.m.commonOwner(parts)
 	if !ok || s0.SiteDown(site) {
 		c.misses.Add(1)
 		return Route{}, false
 	}
 	c.writeRoutes.Add(1)
-	// Stats feedback: finishWrite dispatches through the shard hooks, so
+	// Stats feedback: finishWrite dispatches through the group, so
 	// the sample lands on every owning shard's stripes.
 	c.g.ShardFor(parts[0]).finishWrite(client, parts, site, time.Now())
 	return Route{Site: site}, true
@@ -190,49 +133,24 @@ func (c *PlacementCache) routeReadCached(client int, cvv vclock.Vector, parts []
 		return s0.RouteRead(client, cvv), true
 	}
 	var hosts []int
-	if s0.placement == nil {
+	if s0.placement != nil {
+		var ok bool
+		if hosts, ok = c.m.commonHosts(parts); !ok {
+			c.misses.Add(1)
+			return Route{}, false
+		}
+	} else {
 		// Full replication: every site hosts everything.
 		hosts = make([]int, len(s0.sites))
 		for i := range hosts {
 			hosts[i] = i
 		}
-	} else {
-		c.mu.RLock()
-		for i, p := range parts {
-			set, ok := c.sets[p]
-			if !ok {
-				c.mu.RUnlock()
-				c.misses.Add(1)
-				return Route{}, false
-			}
-			if i == 0 {
-				hosts = append(hosts, set...)
-				continue
-			}
-			kept := hosts[:0]
-			for _, m := range hosts {
-				for _, n := range set {
-					if n == m {
-						kept = append(kept, m)
-						break
-					}
-				}
-			}
-			hosts = kept
-		}
-		c.mu.RUnlock()
-		if len(hosts) == 0 {
-			c.misses.Add(1)
-			return Route{}, false
-		}
 	}
 	// Feed read statistics to the owning shards (the paper's replicas
 	// report samples back asynchronously; the cache does the same).
-	for si, sub := range c.g.partsByShard(parts) {
-		c.g.Shard(si).stats.RecordRead(client, sub)
-	}
+	c.g.recordRead(client, parts)
 	c.readRoutes.Add(1)
-	s0.readTxns.Add(1)
+	s0.countRead()
 	return pickFreshHost(s0, hosts, cvv, c.g.ShardFor(parts[0]), parts[0]), true
 }
 
@@ -250,11 +168,7 @@ func (c *PlacementCache) StaleWrites() uint64 { return c.staleWrites.Load() }
 func (c *PlacementCache) Misses() uint64 { return c.misses.Load() }
 
 // Size returns the number of cached mastership entries.
-func (c *PlacementCache) Size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.owner)
-}
+func (c *PlacementCache) Size() int { return c.m.size() }
 
 func (c *PlacementCache) instrument(reg *obs.Registry) {
 	if reg == nil {
@@ -326,15 +240,9 @@ func (r *CachedRouter) RouteWriteTraced(client int, writeSet []storage.RowRef, c
 // RouteToMaster is the stale-metadata resubmit: the optimistic cache route
 // bounced (ErrNotMaster / ErrStaleEpoch at the data site), so route
 // authoritatively through the owning router shards.
-func (r *CachedRouter) RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
+func (r *CachedRouter) RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
 	r.c.staleWrites.Add(1)
-	return r.g.RouteToMaster(client, writeSet, cvv)
-}
-
-// RouteToMasterTraced is RouteToMaster under a sampled trace.
-func (r *CachedRouter) RouteToMasterTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	r.c.staleWrites.Add(1)
-	return r.g.RouteToMasterTraced(client, writeSet, cvv, sc)
+	return r.g.RouteToMaster(client, writeSet, cvv, sc)
 }
 
 // RouteRead implements Router: version-vector reads need no placement, so

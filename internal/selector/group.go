@@ -11,9 +11,10 @@ import (
 	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
 	"dynamast/internal/vclock"
+	"dynamast/internal/wal"
 )
 
-// Sharded selector routers. The single selector leader is DynaMast's last
+// Router groups. The single selector leader is DynaMast's last
 // serialization point: every update route, remaster chain, and placement
 // decision flows through one process. A Group splits that control plane into
 // N independent router shards, each owning a contiguous range of the
@@ -21,8 +22,16 @@ import (
 // the selector's own lock striping uses, so shard assignment is a pure
 // function of the partition id). Each shard is a full Replicated tier: its
 // own Selector (routing loop + stats stripes + placement state), its own
-// standby replicas, and — under HA — its own lease, which doubles as that
+// replica selectors, and — under HA — its own lease, which doubles as that
 // shard's remaster-epoch allocator (one key of a KeyedLeaseStore).
+//
+// Every deployment routes through a Group; the single-router deployment is a
+// group of one and runs the same code. Its one shard owns every partition,
+// so no write set crosses shards, every co-access sample lands on its one
+// tracker, and its HA fence covers the whole map. What a group of one lacks
+// is the placement cache: with one router there is no routing load to take
+// off, so its sessions route through the shard's replica selectors
+// (Appendix I) when it has any, and through the group otherwise.
 //
 // Cross-shard concerns are handled at the edges:
 //
@@ -38,10 +47,6 @@ import (
 //     one-sided affinity signal.
 //   - Sessions route reads (and optimistically route writes) off a gossiped
 //     read-only placement cache (cache.go) without touching any router.
-//
-// With one shard the Group is pure pass-through: RouterFor delegates to the
-// single Replicated tier, no hooks are installed, and the wire behavior is
-// byte-for-byte the single-leader selector.
 
 // MaxRouterShards bounds the shard count (recent-owner sets are uint64
 // bitmasks).
@@ -69,29 +74,34 @@ type recentStripe struct {
 	_  [24]byte // pad stripes apart
 }
 
-// GroupConfig configures a sharded router group.
+// GroupConfig configures a router group.
 type GroupConfig struct {
-	// Shards are the per-shard Replicated tiers, indexed by shard.
-	Shards []*Replicated
+	// Selector configures every shard's selector; shard i is seeded with
+	// Selector.Seed+i. Selector.Obs also receives the group's metrics.
+	Selector Config
+	// Shards is the number of router shards, at least 1.
+	Shards int
+	// Replicas is the number of replica selectors per shard (Appendix I);
+	// under HA they are the shard's hot standbys.
+	Replicas int
+	// Lease, when positive, puts every shard under lease-based leadership
+	// (lease.go): one key of a shared KeyedLeaseStore per shard, each key
+	// that shard's remaster-epoch allocator. Requires Replicas and Broker.
+	Lease time.Duration
+	// Broker holds the per-site WALs an HA promotion folds.
+	Broker *wal.Broker
 	// GossipInterval is the placement cache's anti-entropy pull period
-	// (bounds cache staleness; 0 = DefaultGossipInterval). Cache only.
+	// (bounds cache staleness; 0 = DefaultGossipInterval).
 	GossipInterval time.Duration
-	// Cache enables the gossiped placement cache: sessions route reads —
-	// and optimistically route writes — off the cache with zero router
-	// RPCs, falling back to the routers on a miss or an ErrNotMaster/
-	// ErrStaleEpoch resubmit.
-	Cache bool
-	// Obs receives the dynamast_selector_shard_* metrics.
-	Obs *obs.Registry
 }
 
-// Group is the sharded selector control plane. All control-plane entry
-// points dispatch by RouterShardOf; routing entry points additionally
-// decompose cross-shard write sets at partition granularity.
+// Group is the selector control plane. All control-plane entry points
+// dispatch by RouterShardOf; routing entry points additionally decompose
+// cross-shard write sets at partition granularity.
 type Group struct {
 	repls []*Replicated
 	n     int
-	cache *PlacementCache
+	cache *PlacementCache // nil in a group of one
 
 	// recent is the inter-shard co-access hint channel: per client, the
 	// owner-shard set of the last routed write.
@@ -101,65 +111,56 @@ type Group struct {
 	crossHints  atomic.Uint64 // stat samples delivered beyond their own shards
 }
 
-// NewGroup builds the sharded control plane over per-shard Replicated
-// tiers. The shard selectors must have been built with GroupHooks(i, n,
-// get) so their scoring and stats flow through the group; get's late-bound
-// reference must resolve to the returned group before any traffic routes.
+// NewGroup builds the control plane: one selector and replica tier per
+// shard, the placement cache when there is more than one shard, and the
+// per-shard leases when cfg.Lease is set.
 func NewGroup(cfg GroupConfig) (*Group, error) {
-	if len(cfg.Shards) == 0 {
+	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("selector: group requires at least one shard")
 	}
-	if len(cfg.Shards) > MaxRouterShards {
-		return nil, fmt.Errorf("selector: %d shards exceeds the maximum %d", len(cfg.Shards), MaxRouterShards)
+	if cfg.Shards > MaxRouterShards {
+		return nil, fmt.Errorf("selector: %d shards exceeds the maximum %d", cfg.Shards, MaxRouterShards)
 	}
-	g := &Group{repls: cfg.Shards, n: len(cfg.Shards)}
+	g := &Group{repls: make([]*Replicated, cfg.Shards), n: cfg.Shards}
 	for i := range g.recent {
 		g.recent[i].m = make(map[int]recentOwners)
 	}
-	if cfg.Cache && g.n > 1 {
-		g.cache = newPlacementCache(g, cfg.GossipInterval, cfg.Obs)
-		g.wireCacheFeed()
-		g.cache.start()
+	selCfgs := make([]Config, g.n)
+	for i := range g.repls {
+		selCfg := cfg.Selector
+		selCfg.Seed += int64(i)
+		selCfg.group, selCfg.shard = g, i
+		sel, err := newSelector(selCfg)
+		if err != nil {
+			return nil, err
+		}
+		g.repls[i] = newReplicated(sel, cfg.Replicas, selCfg.Net)
+		selCfgs[i] = selCfg
 	}
-	g.instrument(cfg.Obs)
-	return g, nil
-}
-
-// GroupHooks builds the ShardHooks wiring shard i of an n-shard group. The
-// group usually does not exist yet when the shard's Config is built, so the
-// group reference is late-bound through get (which must be non-nil by the
-// time the shard routes traffic). n <= 1 returns zero hooks: the
-// single-shard deployment keeps the stand-alone selector paths.
-func GroupHooks(i, n int, get func() *Group) ShardHooks {
-	if n <= 1 {
-		return ShardHooks{}
-	}
-	return ShardHooks{
-		Owns:          func(p uint64) bool { return RouterShardOf(p, n) == i },
-		ForeignMaster: func(p uint64) int { return get().hintOf(p) },
-		Record: func(client int, parts []uint64, now time.Time) {
-			get().dispatchRecord(client, parts, now)
-		},
-		AccessWeight: func(p uint64) float64 { return get().ShardFor(p).stats.AccessWeight(p) },
-		CoAccess: func(d1 uint64, intra bool, fn func(d2 uint64, p float64)) {
-			get().ShardFor(d1).stats.CoAccess(d1, intra, fn)
-		},
-		SiteLoads: func() []float64 { return get().siteLoads() },
-	}
-}
-
-// wireCacheFeed taps every shard's mastership delta feed into the cache.
-// Shards under HA already broadcast their feed to standbys; the Replicated
-// feed sink forwards each delta to the cache and survives leader swaps.
-// Shards without HA get the sink wired as the selector's feed directly.
-func (g *Group) wireCacheFeed() {
-	for _, repl := range g.repls {
-		repl := repl
-		repl.setFeedSink(g.cache.ingest)
-		if repl.ha == nil {
+	if g.n > 1 {
+		g.cache = newPlacementCache(g, cfg.GossipInterval, cfg.Selector.Obs)
+		// Every shard's mastership delta feed also reaches the cache; under
+		// HA the standby broadcast forwards to the same sink across leader
+		// swaps.
+		for _, repl := range g.repls {
+			repl.setFeedSink(g.cache.m.ingest)
 			repl.Master.SetDeltaFeed(repl.deliverDelta)
 		}
 	}
+	if cfg.Lease > 0 {
+		leases := NewKeyedLeaseStore(cfg.Lease, cfg.Selector.Net, g.n)
+		for i, repl := range g.repls {
+			if err := repl.enableHA(selCfgs[i], leases.View(i), cfg.Broker); err != nil {
+				g.Stop()
+				return nil, err
+			}
+		}
+	}
+	if g.cache != nil {
+		g.cache.start()
+	}
+	g.instrument(cfg.Selector.Obs)
+	return g, nil
 }
 
 // Shards returns the shard count.
@@ -177,8 +178,7 @@ func (g *Group) ShardOf(part uint64) int { return RouterShardOf(part, g.n) }
 // ShardFor returns the leader selector of the shard owning a partition.
 func (g *Group) ShardFor(part uint64) *Selector { return g.repls[g.ShardOf(part)].Leader() }
 
-// Cache returns the gossiped placement cache (nil when disabled or
-// single-shard).
+// Cache returns the gossiped placement cache (nil in a group of one).
 func (g *Group) Cache() *PlacementCache { return g.cache }
 
 // CrossShardWrites returns how many write routes spanned multiple shards.
@@ -188,23 +188,28 @@ func (g *Group) CrossShardWrites() uint64 { return g.crossWrites.Load() }
 // beyond the write set's own owners (the inter-shard co-access channel).
 func (g *Group) CrossShardHints() uint64 { return g.crossHints.Load() }
 
-// Stop terminates the group's background work (the cache gossip loop).
+// Stop terminates the group's background work: the cache gossip loop and
+// every shard's HA watcher.
 func (g *Group) Stop() {
 	if g.cache != nil {
 		g.cache.stopLoop()
 	}
+	for _, repl := range g.repls {
+		if repl.ha != nil {
+			repl.ha.Stop()
+		}
+	}
 }
 
-// RouterFor assigns a client its router. Single-shard groups delegate to
-// the shard's own replica tier — the pre-sharding path, untouched. Sharded
-// groups hand out the cache-backed router (or the group itself when the
-// cache is off); the per-shard replicas then serve purely as HA standbys.
+// RouterFor assigns a client its router: the cache-backed router when the
+// group has a placement cache, else one of the shard's replica selectors
+// round-robin, else the group itself.
 func (g *Group) RouterFor(client int) Router {
-	if g.n == 1 {
-		return g.repls[0].RouterFor(client)
-	}
 	if g.cache != nil {
 		return &CachedRouter{g: g, c: g.cache}
+	}
+	if reps := g.repls[0].replicas; len(reps) > 0 {
+		return reps[client%len(reps)]
 	}
 	return g
 }
@@ -276,45 +281,31 @@ func (g *Group) dispatchRecord(client int, parts []uint64, now time.Time) {
 // to the owning shard's routing loop; cross-shard sets run the group
 // decision (global lock order, one destination, per-shard remaster chains).
 func (g *Group) RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return g.routeWrite(client, writeSet, cvv, obs.SpanContext{})
+	return g.RouteWriteTraced(client, writeSet, cvv, obs.SpanContext{})
 }
 
 // RouteWriteTraced is RouteWrite under a sampled distributed trace.
 func (g *Group) RouteWriteTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	return g.routeWrite(client, writeSet, cvv, sc)
+	s0 := g.Shard(0)
+	parts := s0.writeParts(writeSet)
+	if len(parts) == 0 {
+		return s0.routeParts(client, parts, cvv, sc)
+	}
+	first := g.ShardOf(parts[0])
+	for _, p := range parts[1:] {
+		if g.ShardOf(p) != first {
+			return g.routeWriteCross(client, parts, cvv, sc)
+		}
+	}
+	// The common case: remaster chains stay single-shard by construction,
+	// and the shard's own loop handles everything.
+	return g.Shard(first).routeParts(client, parts, cvv, sc)
 }
 
 // RouteToMaster is the authoritative resubmit path (stale metadata bounced
 // at a data site): the group IS the master tier, so route authoritatively.
-func (g *Group) RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return g.routeWrite(client, writeSet, cvv, obs.SpanContext{})
-}
-
-// RouteToMasterTraced is RouteToMaster under a sampled trace.
-func (g *Group) RouteToMasterTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	return g.routeWrite(client, writeSet, cvv, sc)
-}
-
-func (g *Group) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	s0 := g.Shard(0)
-	parts := s0.writeParts(writeSet)
-	if len(parts) == 0 {
-		return s0.routeWrite(client, writeSet, cvv, sc)
-	}
-	first := g.ShardOf(parts[0])
-	single := true
-	for _, p := range parts[1:] {
-		if g.ShardOf(p) != first {
-			single = false
-			break
-		}
-	}
-	if single {
-		// The common case: remaster chains stay single-shard by
-		// construction, and the shard's own loop handles everything.
-		return g.Shard(first).routeWrite(client, writeSet, cvv, sc)
-	}
-	return g.routeWriteCross(client, parts, cvv, sc)
+func (g *Group) RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
+	return g.RouteWriteTraced(client, writeSet, cvv, sc)
 }
 
 // routeWriteCross routes a write set spanning shards: partition locks are
@@ -390,8 +381,7 @@ func (g *Group) routeWriteCross(client int, parts []uint64, cvv vclock.Vector, s
 	}
 
 	// One destination for the whole set, scored by the home shard (lowest
-	// partition id — deterministic) over group-wide stats and load via the
-	// shard hooks.
+	// partition id — deterministic) over group-wide stats and load.
 	home := sels[0]
 	dest, err := home.chooseDestination(parts, infos, cvv)
 	if err != nil {
@@ -451,9 +441,7 @@ func (g *Group) routeWriteCross(client int, parts []uint64, cvv vclock.Vector, s
 	if firstErr != nil {
 		return Route{}, firstErr
 	}
-	home.remasterOps.Add(1)
-	home.partsMoved.Add(uint64(moved))
-	home.remastNanos.Add(int64(wait))
+	home.countRemaster(moved, wait)
 	g.finishCross(client, parts, sels, dest, start)
 	return Route{Site: dest, MinVV: minVV, Remastered: true, PartsMoved: moved, RemasterWait: wait}, nil
 }
@@ -477,10 +465,7 @@ func (g *Group) ensureHostedCross(parts []uint64, sels []*Selector, site int) er
 // and the stats sample through the inter-shard dispatch.
 func (g *Group) finishCross(client int, parts []uint64, sels []*Selector, site int, start time.Time) {
 	now := time.Now()
-	home := sels[0]
-	home.writeTxns.Add(1)
-	home.routed[site].Add(1)
-	home.routeNanos.Add(int64(now.Sub(start)))
+	sels[0].countWrite(site, now.Sub(start))
 	g.dispatchRecord(client, parts, now)
 	for i := range parts {
 		sels[i].bumpLoad(parts[i:i+1], site)
@@ -498,7 +483,7 @@ func (g *Group) RouteRead(client int, cvv vclock.Vector) Route {
 // shards' replica sets and apply the same freshness pick.
 func (g *Group) RouteReadParts(client int, cvv vclock.Vector, parts []uint64) Route {
 	s0 := g.Shard(0)
-	if g.n == 1 || len(parts) == 0 || s0.placement == nil {
+	if len(parts) == 0 || s0.placement == nil {
 		return s0.RouteReadParts(client, cvv, parts)
 	}
 	first := g.ShardOf(parts[0])
@@ -515,7 +500,10 @@ func (g *Group) RouteReadParts(client int, cvv vclock.Vector, parts []uint64) Ro
 	// Cross-shard hint: feed read stats to each owning shard and intersect
 	// their common hosts.
 	var hosts []int
-	for si, sub := range g.partsByShard(parts) {
+	for si, sub := range g.PartsByShard(parts) {
+		if len(sub) == 0 {
+			continue
+		}
 		sel := g.Shard(si)
 		sel.stats.RecordRead(client, sub)
 		h := sel.commonHosts(sub)
@@ -536,18 +524,27 @@ func (g *Group) RouteReadParts(client int, cvv vclock.Vector, parts []uint64) Ro
 		// replica set — the session retries the remainder on ErrNotHosted.
 		return g.ShardFor(parts[0]).RouteReadParts(client, cvv, parts[:1])
 	}
-	s0.readTxns.Add(1)
+	s0.countRead()
 	return pickFreshHost(s0, hosts, cvv, g.ShardFor(parts[0]), parts[0])
 }
 
-// partsByShard splits a sorted partition list by owning shard.
-func (g *Group) partsByShard(parts []uint64) map[int][]uint64 {
-	out := make(map[int][]uint64, 2)
+// PartsByShard splits a partition list by owning shard, indexed by shard.
+func (g *Group) PartsByShard(parts []uint64) [][]uint64 {
+	out := make([][]uint64, g.n)
 	for _, p := range parts {
 		si := g.ShardOf(p)
 		out[si] = append(out[si], p)
 	}
 	return out
+}
+
+// recordRead feeds a read's partition set to the owning shards' trackers.
+func (g *Group) recordRead(client int, parts []uint64) {
+	for si, sub := range g.PartsByShard(parts) {
+		if len(sub) > 0 {
+			g.Shard(si).stats.RecordRead(client, sub)
+		}
+	}
 }
 
 // pickFreshHost applies the selector read policy to an explicit host list:
@@ -589,9 +586,6 @@ func (g *Group) MasterOf(p uint64) int { return g.ShardFor(p).MasterOf(p) }
 // MasteredBy unions every shard's partitions mastered at site. Shard maps
 // are disjoint by construction (a shard only creates partitions it owns).
 func (g *Group) MasteredBy(site int) []uint64 {
-	if g.n == 1 {
-		return g.Shard(0).MasteredBy(site)
-	}
 	var out []uint64
 	for i := 0; i < g.n; i++ {
 		out = append(out, g.Shard(i).MasteredBy(site)...)
@@ -649,9 +643,6 @@ func (g *Group) CurrentEpoch() uint64 {
 
 // PlacementSnapshot merges every shard's partition map.
 func (g *Group) PlacementSnapshot() (map[uint64]int, map[uint64]uint64) {
-	if g.n == 1 {
-		return g.Shard(0).PlacementSnapshot()
-	}
 	placement := make(map[uint64]int)
 	epochs := make(map[uint64]uint64)
 	for i := 0; i < g.n; i++ {
@@ -670,9 +661,6 @@ func (g *Group) PlacementSnapshot() (map[uint64]int, map[uint64]uint64) {
 // PlacementTable merges every shard's replica sets (nil under full
 // replication).
 func (g *Group) PlacementTable() map[uint64][]int {
-	if g.n == 1 {
-		return g.Shard(0).PlacementTable()
-	}
 	var out map[uint64][]int
 	for i := 0; i < g.n; i++ {
 		t := g.Shard(i).PlacementTable()
@@ -693,25 +681,9 @@ func (g *Group) PlacementTable() map[uint64][]int {
 
 // AdoptReplicaSets installs recovered replica sets on their owning shards.
 func (g *Group) AdoptReplicaSets(sets map[uint64][]int) {
-	if g.n == 1 {
-		g.Shard(0).AdoptReplicaSets(sets)
-		return
-	}
-	for si, sub := range g.setsByShard(sets) {
-		g.Shard(si).AdoptReplicaSets(sub)
-	}
-}
-
-func (g *Group) setsByShard(sets map[uint64][]int) map[int]map[uint64][]int {
-	out := make(map[int]map[uint64][]int, g.n)
 	for p, set := range sets {
-		si := g.ShardOf(p)
-		if out[si] == nil {
-			out[si] = make(map[uint64][]int)
-		}
-		out[si][p] = set
+		g.ShardFor(p).AdoptReplicaSets(map[uint64][]int{p: set})
 	}
-	return out
 }
 
 // DropSiteReplicas removes site from every shard's replica sets, returning
@@ -770,18 +742,6 @@ func (g *Group) PlacementInfo() PlacementInfo {
 	return info
 }
 
-// LearnAll refreshes every shard's replica caches for the given partitions
-// (failover uses it; each partition goes to its owning shard's tier).
-func (g *Group) LearnAll(parts []uint64, site int) {
-	if g.n == 1 {
-		g.repls[0].LearnAll(parts, site)
-		return
-	}
-	for si, sub := range g.partsByShard(parts) {
-		g.repls[si].LearnAll(sub, site)
-	}
-}
-
 // Weights returns the strategy hyperparameters (uniform across shards).
 func (g *Group) Weights() Weights { return g.Shard(0).Weights() }
 
@@ -795,9 +755,6 @@ func (g *Group) SetWeights(w Weights) {
 // Metrics aggregates routing counters across shards. Latency means weight
 // by each shard's transaction counts.
 func (g *Group) Metrics() Metrics {
-	if g.n == 1 {
-		return g.Shard(0).Metrics()
-	}
 	var out Metrics
 	var routeNanos, remastNanos int64
 	for i := 0; i < g.n; i++ {
@@ -825,13 +782,16 @@ func (g *Group) Metrics() Metrics {
 	return out
 }
 
-// instrument registers the per-shard and group metrics. Shard selectors are
-// built without a registry (their unlabeled series would collide), so the
-// group publishes shard-labeled collectors over their counters instead.
+// instrument registers the group's metrics. Every shard's selector shares
+// the unlabeled routing counters and histograms (the registry hands each
+// the same instruments); the collectors reading shard state are registered
+// here once, over all shards, with per-shard series labeled by shard.
 func (g *Group) instrument(reg *obs.Registry) {
-	if reg == nil || g.n == 1 {
+	if reg == nil {
 		return
 	}
+	reg.Help("dynamast_selector_partitions", "Partitions tracked in the selectors' sharded partition maps.")
+	reg.Help("dynamast_selector_shard_max_entries", "Largest partition-map shard (residency skew indicator).")
 	reg.Help("dynamast_selector_shards", "Router shards in the selector control plane.")
 	reg.Help("dynamast_selector_shard_routes_total", "Routing decisions handled per router shard (writes + reads).")
 	reg.Help("dynamast_selector_shard_write_routes_total", "Write routing decisions handled per router shard.")
@@ -840,6 +800,23 @@ func (g *Group) instrument(reg *obs.Registry) {
 	reg.Help("dynamast_selector_shard_cross_writes_total", "Write routes whose partition set spanned multiple shards.")
 	reg.Help("dynamast_selector_shard_cross_hints_total", "Co-access stat samples exchanged over the inter-shard channel.")
 	reg.Gauge("dynamast_selector_shards").Set(float64(g.n))
+	reg.Func("dynamast_selector_partitions", obs.KindGauge, func() float64 {
+		total := 0
+		for i := 0; i < g.n; i++ {
+			n, _ := g.Shard(i).shardResidency()
+			total += n
+		}
+		return float64(total)
+	})
+	reg.Func("dynamast_selector_shard_max_entries", obs.KindGauge, func() float64 {
+		max := 0
+		for i := 0; i < g.n; i++ {
+			if _, m := g.Shard(i).shardResidency(); m > max {
+				max = m
+			}
+		}
+		return float64(max)
+	})
 	for i := 0; i < g.n; i++ {
 		i := i
 		label := obs.L("shard", fmt.Sprint(i))
@@ -864,4 +841,30 @@ func (g *Group) instrument(reg *obs.Registry) {
 	reg.Func("dynamast_selector_shard_cross_hints_total", obs.KindCounter, func() float64 {
 		return float64(g.crossHints.Load())
 	})
+	if !g.PartialPlacement() {
+		return
+	}
+	reg.Help("dynamast_placement_replicas_total", "Replica-set memberships across all tracked partitions.")
+	reg.Help("dynamast_placement_adds_total", "Replica additions performed by the placement layer.")
+	reg.Help("dynamast_placement_drops_total", "Replica drops performed by the placement layer.")
+	sum := func(f func(ps *placementState) int) func() float64 {
+		return func() float64 {
+			n := 0
+			for i := 0; i < g.n; i++ {
+				n += f(g.Shard(i).placement)
+			}
+			return float64(n)
+		}
+	}
+	reg.Func("dynamast_placement_replicas_total", obs.KindGauge, sum(func(ps *placementState) int {
+		ps.mu.RLock()
+		defer ps.mu.RUnlock()
+		n := 0
+		for _, set := range ps.sets {
+			n += len(set)
+		}
+		return n
+	}))
+	reg.Func("dynamast_placement_adds_total", obs.KindCounter, sum(func(ps *placementState) int { return int(ps.adds.Load()) }))
+	reg.Func("dynamast_placement_drops_total", obs.KindCounter, sum(func(ps *placementState) int { return int(ps.drops.Load()) }))
 }

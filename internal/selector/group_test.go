@@ -11,64 +11,23 @@ import (
 	"testing"
 	"time"
 
+	"dynamast/internal/obs"
 	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
-	"dynamast/internal/wal"
 )
 
 // newShardedGroup builds m replicating data sites fronted by an n-shard
 // router group (no HA, no replicas — the sharding machinery itself). Every
 // partition starts mastered at site 0, as in newCluster.
-func newShardedGroup(t *testing.T, m, shards int, cache bool, stats StatsConfig) (*Group, []*sitemgr.Site) {
+func newShardedGroup(t *testing.T, m, shards int, stats StatsConfig) (*Group, []*sitemgr.Site) {
 	t.Helper()
-	b := wal.NewBroker(m)
-	sites := make([]*sitemgr.Site, m)
-	dsites := make([]DataSite, m)
-	for i := 0; i < m; i++ {
-		s, err := sitemgr.New(sitemgr.Config{
-			SiteID: i, Sites: m, Broker: b,
-			Partitioner: partitionBy100, Replicate: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Store().CreateTable("t")
-		for p := uint64(0); p < 50; p++ {
-			s.SetMaster(p, i == 0)
-		}
-		sites[i], dsites[i] = s, s
-	}
-	for _, s := range sites {
-		s.Start()
-	}
-	var g *Group
-	repls := make([]*Replicated, shards)
-	for i := 0; i < shards; i++ {
-		sel, err := New(Config{
-			Sites:       dsites,
-			Partitioner: partitionBy100,
-			Weights:     YCSBWeights(),
-			Stats:       stats,
-			Seed:        int64(i),
-			Hooks:       GroupHooks(i, shards, func() *Group { return g }),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		repls[i] = NewReplicated(sel, 0, nil)
-	}
-	var err error
-	g, err = NewGroup(GroupConfig{Shards: repls, Cache: cache, GossipInterval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		g.Stop()
-		b.Close()
-		for _, s := range sites {
-			s.Stop()
-		}
-	})
+	sites, dsites, _ := newSites(t, m)
+	g := newTestGroup(t, GroupConfig{Shards: shards, GossipInterval: 2 * time.Millisecond, Selector: Config{
+		Sites:       dsites,
+		Partitioner: partitionBy100,
+		Weights:     YCSBWeights(),
+		Stats:       stats,
+	}})
 	return g, sites
 }
 
@@ -112,14 +71,14 @@ func TestRouterShardOfProperties(t *testing.T) {
 	}
 }
 
+// TestGroupSingleShardPassThrough pins what a group of one is: one router
+// owning every partition, with no placement cache and no cross-shard
+// traffic, whose split-master writes remaster under its own allocator and
+// whose sessions' router decides exactly as the group does.
 func TestGroupSingleShardPassThrough(t *testing.T) {
-	g, _ := newShardedGroup(t, 2, 1, true, StatsConfig{HistorySize: 128})
+	g, sites := newShardedGroup(t, 2, 1, StatsConfig{HistorySize: 128})
 	if g.Cache() != nil {
 		t.Fatal("single-shard group built a placement cache")
-	}
-	// The router is the shard's own selector — not the group, not a cache.
-	if _, ok := g.RouterFor(1).(*Selector); !ok {
-		t.Fatalf("single-shard RouterFor = %T, want the selector itself", g.RouterFor(1))
 	}
 	r, err := g.RouteWrite(1, []storage.RowRef{ref(1), ref(150)}, nil)
 	if err != nil {
@@ -128,13 +87,47 @@ func TestGroupSingleShardPassThrough(t *testing.T) {
 	if r.Site != 0 || r.Remastered {
 		t.Fatalf("route = %+v, want site 0 without remastering", r)
 	}
-	if g.CrossShardWrites() != 0 {
-		t.Fatal("single-shard group counted a cross-shard write")
+
+	// A split-master write remasters under the shard's epoch allocator.
+	rel, err := sites[0].Release([]uint64{1}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sites[1].Grant([]uint64{1}, rel, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	g.Shard(0).RegisterPartition(1, 1)
+	ws := []storage.RowRef{ref(1), ref(101)}
+	r, err = g.RouteWrite(1, ws, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Remastered || r.PartsMoved == 0 {
+		t.Fatalf("split-master route did not remaster: %+v", r)
+	}
+	if e := g.Shard(0).CurrentEpoch(); e == 0 || e != g.CurrentEpoch() {
+		t.Fatalf("shard epoch %d, group epoch %d: want the shard's allocator to have issued the chain", e, g.CurrentEpoch())
+	}
+	if g.CrossShardWrites() != 0 || g.CrossShardHints() != 0 {
+		t.Fatal("single-shard group counted cross-shard traffic")
+	}
+
+	// The sessions' router decides exactly as the group does.
+	want, err := g.RouteWrite(2, ws, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := g.RouterFor(2).RouteWrite(2, ws, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Site != want.Site || got.Remastered != want.Remastered || got.PartsMoved != want.PartsMoved {
+		t.Fatalf("RouterFor route = %+v, group route = %+v", got, want)
 	}
 }
 
 func TestGroupCrossShardWriteRemasters(t *testing.T) {
-	g, sites := newShardedGroup(t, 2, 2, false, StatsConfig{HistorySize: 128})
+	g, sites := newShardedGroup(t, 2, 2, StatsConfig{HistorySize: 128})
 	buckets := shardBuckets(50, 2)
 	pa, pb := buckets[0][0], buckets[1][0]
 
@@ -213,7 +206,7 @@ func TestGroupCrossShardWriteRemasters(t *testing.T) {
 // prev-owner delivery of dispatchRecord covers every tracker.
 func TestCrossShardCoAccessMatchesReference(t *testing.T) {
 	cfg := StatsConfig{HistorySize: 4096, Stripes: 4, InterWindow: time.Hour}
-	g, _ := newShardedGroup(t, 2, 2, false, cfg)
+	g, _ := newShardedGroup(t, 2, 2, cfg)
 	reference := NewStats(cfg)
 
 	buckets := shardBuckets(50, 2)
@@ -301,30 +294,30 @@ func TestCrossShardCoAccessMatchesReference(t *testing.T) {
 }
 
 func TestPlacementCacheIngestMonotonic(t *testing.T) {
-	g, _ := newShardedGroup(t, 2, 2, true, StatsConfig{HistorySize: 128})
-	c := g.Cache()
-	if c == nil {
-		t.Fatal("sharded group with Cache on built no cache")
+	g, _ := newShardedGroup(t, 2, 2, StatsConfig{HistorySize: 128})
+	if g.Cache() == nil {
+		t.Fatal("sharded group built no cache")
 	}
+	c := g.Cache().m
 	// Partition 77 exists nowhere, so gossip never touches it.
 	c.ingest([]uint64{77}, 1, 10)
-	if site, ok := c.lookupOwner([]uint64{77}); !ok || site != 1 {
+	if site, ok := c.commonOwner([]uint64{77}); !ok || site != 1 {
 		t.Fatalf("after ingest: owner = %d/%v, want 1", site, ok)
 	}
 	// A straggler below the installed epoch never rolls the cache back.
 	c.ingest([]uint64{77}, 0, 9)
-	if site, _ := c.lookupOwner([]uint64{77}); site != 1 {
+	if site, _ := c.commonOwner([]uint64{77}); site != 1 {
 		t.Fatalf("stale delta rolled the cache back to site %d", site)
 	}
 	// An equal-or-newer epoch wins.
 	c.ingest([]uint64{77}, 0, 11)
-	if site, _ := c.lookupOwner([]uint64{77}); site != 0 {
+	if site, _ := c.commonOwner([]uint64{77}); site != 0 {
 		t.Fatalf("newer delta did not install: owner %d, want 0", site)
 	}
 }
 
 func TestCachedRouterServesAndFallsBack(t *testing.T) {
-	g, _ := newShardedGroup(t, 2, 2, true, StatsConfig{HistorySize: 128})
+	g, _ := newShardedGroup(t, 2, 2, StatsConfig{HistorySize: 128})
 	cr, ok := g.RouterFor(3).(*CachedRouter)
 	if !ok {
 		t.Fatalf("cache-enabled RouterFor = %T, want *CachedRouter", g.RouterFor(3))
@@ -363,7 +356,7 @@ func TestCachedRouterServesAndFallsBack(t *testing.T) {
 
 	// The resubmit path counts against the cache and routes authoritatively.
 	before := c.StaleWrites()
-	if _, err := cr.RouteToMaster(3, []storage.RowRef{ref(1)}, nil); err != nil {
+	if _, err := cr.RouteToMaster(3, []storage.RowRef{ref(1)}, nil, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if c.StaleWrites() != before+1 {
@@ -385,35 +378,7 @@ func TestShardedRoutingThroughputScales(t *testing.T) {
 	}
 	const parts = 256
 	routesPerSec := func(shards int) float64 {
-		sites := make([]DataSite, 4)
-		for i := range sites {
-			sites[i] = &benchSite{id: i}
-		}
-		var g *Group
-		repls := make([]*Replicated, shards)
-		for i := 0; i < shards; i++ {
-			sel, err := New(Config{
-				Sites:       sites,
-				Partitioner: func(ref storage.RowRef) uint64 { return ref.Key / 100 },
-				Weights:     YCSBWeights(),
-				Seed:        int64(i),
-				Hooks:       GroupHooks(i, shards, func() *Group { return g }),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			repls[i] = NewReplicated(sel, 0, nil)
-		}
-		var err error
-		g, err = NewGroup(GroupConfig{Shards: repls})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := uint64(0); p < parts; p++ {
-			if _, err := g.RouteWrite(0, []storage.RowRef{{Table: "t", Key: p * 100}}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
+		g := newBenchGroup(t, 4, shards, parts)
 		buckets := shardBuckets(parts, shards)
 		workers := runtime.GOMAXPROCS(0)
 		var total atomic.Uint64
@@ -465,35 +430,20 @@ func TestShardedRoutingThroughputScales(t *testing.T) {
 
 // newBenchGroup builds an n-shard group over no-op data sites with pre-
 // materialized partitions for routing throughput benchmarks.
-func newBenchGroup(b *testing.B, m, shards int, parts uint64) *Group {
-	b.Helper()
+func newBenchGroup(tb testing.TB, m, shards int, parts uint64) *Group {
+	tb.Helper()
 	sites := make([]DataSite, m)
 	for i := range sites {
 		sites[i] = &benchSite{id: i}
 	}
-	var g *Group
-	repls := make([]*Replicated, shards)
-	for i := 0; i < shards; i++ {
-		sel, err := New(Config{
-			Sites:       sites,
-			Partitioner: func(ref storage.RowRef) uint64 { return ref.Key / 100 },
-			Weights:     YCSBWeights(),
-			Seed:        int64(i),
-			Hooks:       GroupHooks(i, shards, func() *Group { return g }),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		repls[i] = NewReplicated(sel, 0, nil)
-	}
-	var err error
-	g, err = NewGroup(GroupConfig{Shards: repls})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := newTestGroup(tb, GroupConfig{Shards: shards, Selector: Config{
+		Sites:       sites,
+		Partitioner: func(ref storage.RowRef) uint64 { return ref.Key / 100 },
+		Weights:     YCSBWeights(),
+	}})
 	for p := uint64(0); p < parts; p++ {
 		if _, err := g.RouteWrite(0, []storage.RowRef{{Table: "t", Key: p * 100}}, nil); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return g

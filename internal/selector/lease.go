@@ -75,7 +75,7 @@ const leaseMsg = transport.MsgOverhead + 16
 // fully independent — one shard's promotion fence (a fresh epoch from ITS
 // key) says nothing about another shard's epochs, which is exactly the
 // "one shard's fence dominates only its range" invariant the range-scoped
-// site fences enforce. The single-leader deployment is the 1-key store.
+// site fences enforce. A group of one holds a 1-key store.
 type KeyedLeaseStore struct {
 	net   *transport.Network
 	ttl   time.Duration
@@ -118,16 +118,10 @@ func (ks *KeyedLeaseStore) View(key int) *LeaseStore {
 }
 
 // LeaseStore is a single lease (one key of a KeyedLeaseStore): the
-// leadership lease plus the remaster-epoch allocator fenced by it. The
-// classic single-leader deployment is View(0) of a 1-key store.
+// leadership lease plus the remaster-epoch allocator fenced by it.
 type LeaseStore struct {
 	ks   *KeyedLeaseStore
 	cell *leaseCell
-}
-
-// NewLeaseStore builds a stand-alone single-lease store with the given TTL.
-func NewLeaseStore(ttl time.Duration, net *transport.Network) *LeaseStore {
-	return NewKeyedLeaseStore(ttl, net, 1).View(0)
 }
 
 func (ls *LeaseStore) charge() {
@@ -248,34 +242,6 @@ func (l *leaseEpochs) Alloc() (uint64, error) { return l.store.AllocEpoch(l.node
 func (l *leaseEpochs) Current() uint64        { return l.store.CurrentEpoch() }
 func (l *leaseEpochs) Bump(n uint64)          { l.store.BumpEpoch(n) }
 
-// HAConfig configures the selector high-availability tier.
-type HAConfig struct {
-	// Lease is the leadership lease TTL. The leader renews (and standbys
-	// check) every Lease/4; worst-case write unavailability on a leader
-	// crash is about Lease + Lease/4 plus promotion work.
-	Lease time.Duration
-	// Broker holds the per-site WALs promotion folds; required.
-	Broker *wal.Broker
-	// Obs receives the dynamast_selector_* leadership metrics.
-	Obs *obs.Registry
-	// Store, when non-nil, is the lease (+ epoch allocator) this tier uses —
-	// typically one key's view of a KeyedLeaseStore shared by all router
-	// shards. Nil builds a private single-lease store (the classic
-	// deployment).
-	Store *LeaseStore
-	// Shard/Shards scope this tier to one router shard of a sharded
-	// selector: promotion folds, fences, and repairs only the partitions
-	// RouterShardOf assigns to Shard, and the site fence is installed with
-	// FenceEpochsBelowRange so it dominates only this shard's range.
-	// Shards <= 1 (the default) is the unsharded, whole-map tier.
-	Shard, Shards int
-}
-
-// ownsPart reports whether this HA tier's shard range covers partition p.
-func (cfg *HAConfig) ownsPart(p uint64) bool {
-	return cfg.Shards <= 1 || sitemgr.RouterShard(p, cfg.Shards) == cfg.Shard
-}
-
 // HA is the selector tier's leadership state machine: lease renewal on the
 // leader, expiry watch + promotion on the standbys, and the delta feed
 // keeping standby mirrors hot. In-process it is one goroutine playing all
@@ -284,7 +250,9 @@ func (cfg *HAConfig) ownsPart(p uint64) bool {
 type HA struct {
 	repl   *Replicated
 	store  *LeaseStore
-	cfg    HAConfig
+	broker *wal.Broker // the per-site WALs promotion folds
+	// selCfg builds a promoted leader; its group and shard scope promotion
+	// to this shard's range: the fold, the repairs and the site fence.
 	selCfg Config
 
 	// node is the current leader: 0 = the initial master selector's
@@ -308,37 +276,30 @@ type HA struct {
 	obPromoteDur *obs.Histogram
 }
 
-// EnableHA puts the selector tier under lease-based leadership: the master
-// becomes the initial leader (its epoch allocator moves into the lease
-// store), the replicas become hot standbys fed by the leader's delta
+// enableHA puts the shard under lease-based leadership held in store: the
+// master becomes the initial leader (its epoch allocator moves into the
+// lease store), the replicas become hot standbys fed by the leader's delta
 // stream, and a background watcher renews the lease and promotes a standby
 // when it expires. Requires at least one replica to stand by.
-func (r *Replicated) EnableHA(selCfg Config, cfg HAConfig) (*HA, error) {
+func (r *Replicated) enableHA(selCfg Config, store *LeaseStore, broker *wal.Broker) error {
 	if len(r.replicas) == 0 {
-		return nil, fmt.Errorf("selector: HA requires at least one replica standby")
+		return fmt.Errorf("selector: HA requires at least one replica standby")
 	}
-	if cfg.Lease <= 0 {
-		return nil, fmt.Errorf("selector: HA requires a positive lease TTL")
+	if store.TTL() <= 0 {
+		return fmt.Errorf("selector: HA requires a positive lease TTL")
 	}
-	if cfg.Broker == nil {
-		return nil, fmt.Errorf("selector: HA requires the WAL broker")
-	}
-	if r.ha != nil {
-		return nil, fmt.Errorf("selector: HA already enabled")
-	}
-	store := cfg.Store
-	if store == nil {
-		store = NewLeaseStore(cfg.Lease, r.net)
+	if broker == nil {
+		return fmt.Errorf("selector: HA requires the WAL broker")
 	}
 	store.BumpEpoch(r.Master.CurrentEpoch())
 	token, ok := store.Acquire(0)
 	if !ok {
-		return nil, fmt.Errorf("selector: initial lease acquisition failed")
+		return fmt.Errorf("selector: initial lease acquisition failed")
 	}
 	ha := &HA{
 		repl:   r,
 		store:  store,
-		cfg:    cfg,
+		broker: broker,
 		selCfg: selCfg,
 		killed: make([]atomic.Bool, len(r.replicas)+1),
 		stop:   make(chan struct{}),
@@ -348,18 +309,17 @@ func (r *Replicated) EnableHA(selCfg Config, cfg HAConfig) (*HA, error) {
 	r.Master.SetDeltaFeed(ha.broadcast)
 	placement, epochs := r.Master.PlacementSnapshot()
 	for _, rep := range r.replicas {
-		rep.seedMirror(placement, epochs)
+		rep.m.seed(placement, epochs)
 	}
-	ha.instrument(cfg.Obs)
+	ha.instrument(selCfg.Obs)
 	r.ha = ha
 	ha.wg.Add(1)
 	go ha.run()
-	return ha, nil
+	return nil
 }
 
-// instrument registers the leadership metrics. A sharded tier labels every
-// series with its shard index so N shards' instruments stay distinct in one
-// registry.
+// instrument registers the leadership metrics, each series labeled with the
+// tier's shard so every shard's instruments stay distinct in one registry.
 func (ha *HA) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -371,24 +331,21 @@ func (ha *HA) instrument(reg *obs.Registry) {
 	reg.Help("dynamast_selector_lease_expiries_total", "Lease expiries observed by the standby watcher.")
 	reg.Help("dynamast_selector_standby_lag", "Leader delta-feed sequence minus the slowest standby's ingested sequence.")
 	reg.Help("dynamast_selector_promotion_seconds", "Standby promotion latency (fence, fold, reconcile, swap).")
-	var labels []obs.Label
-	if ha.cfg.Shards > 1 {
-		labels = append(labels, obs.L("shard", fmt.Sprint(ha.cfg.Shard)))
-	}
-	ha.obLeader = reg.Gauge("dynamast_selector_leader", labels...)
+	label := obs.L("shard", fmt.Sprint(ha.selCfg.shard))
+	ha.obLeader = reg.Gauge("dynamast_selector_leader", label)
 	ha.obLeader.Set(0)
-	ha.obChanges = reg.Counter("dynamast_selector_leader_changes_total", labels...)
-	ha.obExpiries = reg.Counter("dynamast_selector_lease_expiries_total", labels...)
-	ha.obPromoteDur = reg.Histogram("dynamast_selector_promotion_seconds", labels...)
+	ha.obChanges = reg.Counter("dynamast_selector_leader_changes_total", label)
+	ha.obExpiries = reg.Counter("dynamast_selector_lease_expiries_total", label)
+	ha.obPromoteDur = reg.Histogram("dynamast_selector_promotion_seconds", label)
 	reg.Func("dynamast_selector_lease_epoch", obs.KindGauge, func() float64 {
 		return float64(ha.store.CurrentEpoch())
-	}, labels...)
+	}, label)
 	reg.Func("dynamast_selector_lease_renewals_total", obs.KindCounter, func() float64 {
 		return float64(ha.store.Renewals())
-	}, labels...)
+	}, label)
 	reg.Func("dynamast_selector_standby_lag", obs.KindGauge, func() float64 {
 		return float64(ha.StandbyLag())
-	}, labels...)
+	}, label)
 }
 
 // StandbyLag returns the delta-feed distance between the leader and the
@@ -467,7 +424,7 @@ func (ha *HA) broadcast(parts []uint64, site int, epoch uint64) {
 // token-validated operations are what keep the roles honest.
 func (ha *HA) run() {
 	defer ha.wg.Done()
-	interval := ha.cfg.Lease / 4
+	interval := ha.store.TTL() / 4
 	if interval < 100*time.Microsecond {
 		interval = 100 * time.Microsecond
 	}
@@ -530,18 +487,16 @@ func (ha *HA) promote() {
 	}
 	unfenced := ha.fenceSites(fence)
 
-	// (3) Fold the WALs and overlay the promoted standby's mirror. A
-	// sharded tier folds the full logs but keeps only its own range: the
+	// (3) Fold the WALs and overlay the promoted standby's mirror. The
+	// tier folds the full logs but keeps only its own shard's range: the
 	// other shards' partitions are their leaders' business, and their
 	// epochs come from different allocators anyway (incomparable).
-	fold := sitemgr.FoldMastership(ha.cfg.Broker, nil)
+	fold := sitemgr.FoldMastership(ha.broker, nil)
 	owner, epochs := fold.Owner, fold.Epoch
-	if ha.cfg.Shards > 1 {
-		for p := range owner {
-			if !ha.cfg.ownsPart(p) {
-				delete(owner, p)
-				delete(epochs, p)
-			}
+	for p := range owner {
+		if !old.owns(p) {
+			delete(owner, p)
+			delete(epochs, p)
 		}
 	}
 	var mirror map[uint64]int
@@ -552,7 +507,7 @@ func (ha *HA) promote() {
 		mirror, mirrorEpochs = old.PlacementSnapshot()
 	}
 	for p, site := range mirror {
-		if !ha.cfg.ownsPart(p) {
+		if !old.owns(p) {
 			continue
 		}
 		fe, inFold := epochs[p]
@@ -570,7 +525,7 @@ func (ha *HA) promote() {
 	// statistics restart and warm back up.
 	selCfg := ha.selCfg
 	selCfg.Weights = old.Weights()
-	newSel, err := New(selCfg)
+	newSel, err := newSelector(selCfg)
 	if err != nil {
 		return
 	}
@@ -588,7 +543,7 @@ func (ha *HA) promote() {
 	// fresh epoch (nil release vector: nothing moved, no catch-up).
 	byOrigin := make(map[int][]uint64)
 	for p, origin := range fold.Dangling {
-		if !ha.cfg.ownsPart(p) {
+		if !old.owns(p) {
 			continue // another shard's range; its own promotion repairs it
 		}
 		if newSel.SiteDown(origin) {
@@ -618,7 +573,7 @@ func (ha *HA) promote() {
 	ha.repl.leader.Store(newSel)
 	placement, eps := newSel.PlacementSnapshot()
 	for _, rep := range ha.repl.replicas {
-		rep.seedMirror(placement, eps)
+		rep.m.seed(placement, eps)
 	}
 	ha.node.Store(int32(cand))
 	ha.token = token
@@ -637,28 +592,19 @@ func (ha *HA) promote() {
 // fenceSites installs the fence epoch at every data site, returning which
 // sites could not be reached (request leg lost through every retry).
 // Response loss is ignored: the fence installed, which is all that
-// matters, and re-fencing is idempotent. A sharded tier installs a
-// range-scoped fence covering only its own partitions, so a zombie leader
-// of THIS shard dies with ErrStaleEpoch while the other shards' in-flight
-// chains — stamped from different allocators — pass untouched.
+// matters, and re-fencing is idempotent. The fence covers only this tier's
+// shard range, so a zombie leader of THIS shard dies with ErrStaleEpoch
+// while the other shards' in-flight chains — stamped from different
+// allocators — pass untouched. In a group of one the range is the whole map.
 func (ha *HA) fenceSites(fence uint64) []bool {
 	unfenced := make([]bool, len(ha.selCfg.Sites))
+	shard, shards := ha.selCfg.shard, ha.selCfg.group.Shards()
 	for i, site := range ha.selCfg.Sites {
-		install := func() {}
-		if ha.cfg.Shards > 1 {
-			f, ok := site.(interface {
-				FenceEpochsBelowRange(floor uint64, shard, shards int) uint64
-			})
-			if !ok {
-				continue // test double without fencing; nothing to install
-			}
-			install = func() { f.FenceEpochsBelowRange(fence, ha.cfg.Shard, ha.cfg.Shards) }
-		} else {
-			f, ok := site.(interface{ FenceEpochsBelow(floor uint64) uint64 })
-			if !ok {
-				continue // test double without fencing; nothing to install
-			}
-			install = func() { f.FenceEpochsBelow(fence) }
+		f, ok := site.(interface {
+			FenceEpochsBelowRange(floor uint64, shard, shards int) uint64
+		})
+		if !ok {
+			continue // test double without fencing; nothing to install
 		}
 		sent := false
 		for attempt := 0; attempt <= remasterSendRetries && !sent; attempt++ {
@@ -668,7 +614,7 @@ func (ha *HA) fenceSites(fence uint64) []bool {
 			if ha.repl.net.SendTo(transport.CatLease, transport.SelectorNode, i, transport.MsgOverhead) != nil {
 				continue
 			}
-			install()
+			f.FenceEpochsBelowRange(fence, shard, shards)
 			_ = ha.repl.net.SendTo(transport.CatLease, i, transport.SelectorNode, transport.MsgOverhead)
 			sent = true
 		}

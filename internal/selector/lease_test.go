@@ -10,53 +10,18 @@ import (
 	"dynamast/internal/wal"
 )
 
-// newHATier builds m data sites over one broker, a master selector with
-// `standbys` replicas, and enables lease-based HA with the given TTL.
+// newHATier builds m data sites over one broker and a group of one with
+// `standbys` replicas under lease-based HA with the given TTL.
 func newHATier(t *testing.T, m, standbys int, lease time.Duration) (*Replicated, *HA, []*sitemgr.Site, *wal.Broker) {
 	t.Helper()
-	b := wal.NewBroker(m)
-	sites := make([]*sitemgr.Site, m)
-	dsites := make([]DataSite, m)
-	for i := 0; i < m; i++ {
-		s, err := sitemgr.New(sitemgr.Config{
-			SiteID: i, Sites: m, Broker: b,
-			Partitioner: partitionBy100, Replicate: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Store().CreateTable("t")
-		for p := uint64(0); p < 50; p++ {
-			s.SetMaster(p, i == 0)
-		}
-		sites[i], dsites[i] = s, s
-	}
-	for _, s := range sites {
-		s.Start()
-	}
-	cfg := Config{
+	sites, dsites, b := newSites(t, m)
+	g := newTestGroup(t, GroupConfig{Shards: 1, Replicas: standbys, Lease: lease, Broker: b, Selector: Config{
 		Sites:       dsites,
 		Partitioner: partitionBy100,
 		Weights:     YCSBWeights(),
 		Stats:       StatsConfig{HistorySize: 128},
-	}
-	sel, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repl := NewReplicated(sel, standbys, nil)
-	ha, err := repl.EnableHA(cfg, HAConfig{Lease: lease, Broker: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ha.Stop()
-		b.Close()
-		for _, s := range sites {
-			s.Stop()
-		}
-	})
-	return repl, ha, sites, b
+	}})
+	return g.Repl(0), g.Repl(0).HA(), sites, b
 }
 
 // waitPromotions blocks until ha has completed at least n promotions.
@@ -74,7 +39,7 @@ func waitPromotions(t *testing.T, ha *HA, n uint64) time.Duration {
 }
 
 func TestLeaseStoreMutualExclusion(t *testing.T) {
-	ls := NewLeaseStore(50*time.Millisecond, nil)
+	ls := NewKeyedLeaseStore(50*time.Millisecond, nil, 1).View(0)
 	tok0, ok := ls.Acquire(0)
 	if !ok || tok0 == 0 {
 		t.Fatalf("initial acquire failed: token %d ok %v", tok0, ok)

@@ -1,7 +1,6 @@
 package selector
 
 import (
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -547,35 +546,8 @@ func (s *Selector) RouteReadParts(client int, cvv vclock.Vector, parts []uint64)
 	if len(hosts) == 0 {
 		hosts = s.commonHosts(parts[:1])
 	}
-	s.readTxns.Add(1)
-	s.ob.readTxns.Inc()
-	fresh := make([]int, 0, len(hosts))
-	bestLag, bestSite := uint64(1)<<63, -1
-	for _, i := range hosts {
-		if s.downSites[i].Load() {
-			continue
-		}
-		svv := s.sites[i].SVV()
-		if svv.DominatesEq(cvv) {
-			fresh = append(fresh, i)
-			continue
-		}
-		if lag := svv.LagBehind(cvv); lag < bestLag {
-			bestLag, bestSite = lag, i
-		}
-	}
-	if len(fresh) == 0 {
-		if bestSite < 0 {
-			// Every host is down; route to the master (failover will have
-			// re-homed it) so the error surfaced is the site's own.
-			return Route{Site: s.MasterOf(parts[0])}
-		}
-		return Route{Site: bestSite}
-	}
-	rng := s.rngPool.Get().(*rand.Rand)
-	pick := fresh[rng.Intn(len(fresh))]
-	s.rngPool.Put(rng)
-	return Route{Site: pick}
+	s.countRead()
+	return pickFreshHost(s, hosts, cvv, s, parts[0])
 }
 
 // ReplicaMover materializes placement decisions at the data sites: AddReplica

@@ -1,7 +1,6 @@
 package selector
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,13 +30,7 @@ import (
 type Replica struct {
 	master *Replicated
 	net    *transport.Network
-
-	mu    sync.RWMutex
-	cache map[uint64]int
-	// epochs mirrors the install epoch of each cached owner (fed by the
-	// HA delta stream; lazily cached lookups carry epoch 0, which never
-	// out-arbitrates a fold entry during promotion reconciliation).
-	epochs map[uint64]uint64
+	m      *placementMirror
 	// feedSeq is the last delta-feed sequence number ingested; the
 	// leader's sequence minus this is the standby's lag.
 	feedSeq atomic.Uint64
@@ -60,16 +53,12 @@ type Replicated struct {
 	// feedSink is an extra consumer of the leader's mastership delta feed
 	// (the sharded selector's gossiped placement cache). It survives leader
 	// swaps: under HA the broadcast fan-out forwards each delta here, and
-	// without HA the Group wires the master's feed to deliverDelta directly.
+	// without HA the master's feed is deliverDelta itself.
 	feedSink atomic.Pointer[func(parts []uint64, site int, epoch uint64)]
 }
 
-// setFeedSink installs (or clears) the extra delta-feed consumer.
+// setFeedSink installs the extra delta-feed consumer.
 func (r *Replicated) setFeedSink(f func(parts []uint64, site int, epoch uint64)) {
-	if f == nil {
-		r.feedSink.Store(nil)
-		return
-	}
 	r.feedSink.Store(&f)
 }
 
@@ -80,17 +69,12 @@ func (r *Replicated) deliverDelta(parts []uint64, site int, epoch uint64) {
 	}
 }
 
-// NewReplicated builds n replica selectors over master.
-func NewReplicated(master *Selector, n int, net *transport.Network) *Replicated {
+// newReplicated builds n replica selectors over master.
+func newReplicated(master *Selector, n int, net *transport.Network) *Replicated {
 	r := &Replicated{Master: master, net: net}
 	r.leader.Store(master)
 	for i := 0; i < n; i++ {
-		r.replicas = append(r.replicas, &Replica{
-			master: r,
-			net:    net,
-			cache:  make(map[uint64]int),
-			epochs: make(map[uint64]uint64),
-		})
+		r.replicas = append(r.replicas, &Replica{master: r, net: net, m: newPlacementMirror()})
 	}
 	return r
 }
@@ -102,7 +86,7 @@ func (r *Replicated) Replicas() []*Replica { return r.replicas }
 // outside HA deployments).
 func (r *Replicated) Leader() *Selector { return r.leader.Load() }
 
-// HA returns the high-availability state machine, nil unless EnableHA ran.
+// HA returns the high-availability state machine, nil without a lease.
 func (r *Replicated) HA() *HA { return r.ha }
 
 // LearnAll installs fresh partition locations in every replica's cache
@@ -114,20 +98,21 @@ func (r *Replicated) LearnAll(parts []uint64, site int) {
 	}
 }
 
-// RouterFor assigns a client a selector: replicas round-robin, or the
-// master when no replicas exist.
-func (r *Replicated) RouterFor(client int) Router {
-	if len(r.replicas) == 0 {
-		return r.Master
-	}
-	return r.replicas[client%len(r.replicas)]
-}
-
-// Router is the routing interface sessions use; *Selector and *Replica
-// both implement it.
+// Router is the routing interface sessions use: the group itself, its
+// cache-backed router, and replica selectors implement it. A zero sc routes
+// untraced.
 type Router interface {
 	RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error)
+	// RouteWriteTraced is RouteWrite under a sampled distributed trace: the
+	// remaster chains it runs record their release/grant spans under sc.
+	RouteWriteTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error)
+	// RouteToMaster resubmits a write a data site rejected on stale routing
+	// metadata (ErrNotMaster/ErrStaleEpoch) through the owning selector.
+	RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error)
 	RouteRead(client int, cvv vclock.Vector) Route
+	// RouteReadParts routes a read restricted to the sites hosting parts
+	// (partial replication).
+	RouteReadParts(client int, cvv vclock.Vector, parts []uint64) Route
 }
 
 // sel returns the selector this replica currently forwards to: the live
@@ -138,73 +123,28 @@ func (r *Replica) sel() *Selector { return r.master.Leader() }
 // cache from the master's metadata on a miss (modelled as part of the
 // replica's asynchronous metadata feed; misses are free of master work).
 func (r *Replica) lookup(part uint64) int {
-	r.mu.RLock()
-	m, ok := r.cache[part]
-	r.mu.RUnlock()
-	if ok {
+	if m, ok := r.m.lookup(part); ok {
 		return m
 	}
-	m = r.sel().MasterOf(part)
-	r.mu.Lock()
-	r.cache[part] = m
-	r.mu.Unlock()
+	m := r.sel().MasterOf(part)
+	r.m.learn([]uint64{part}, m)
 	return m
 }
 
 // Learn installs fresh locations (called after a master-routed decision).
 // The mirrored install epochs are untouched: Learn's source is the
 // leader's live map, whose epoch the delta feed delivers separately.
-func (r *Replica) Learn(parts []uint64, site int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, p := range parts {
-		r.cache[p] = site
-	}
-}
+func (r *Replica) Learn(parts []uint64, site int) { r.m.learn(parts, site) }
 
-// ingest applies one leader delta to the standby mirror. Deltas for the
-// same partition arrive in epoch order (the leader publishes under the
-// partition's exclusive lock), but a lower-epoch straggler racing a
-// failover registration is still discarded by the epoch comparison.
+// ingest applies one leader delta to the standby mirror.
 func (r *Replica) ingest(seq uint64, parts []uint64, site int, epoch uint64) {
-	r.mu.Lock()
-	for _, p := range parts {
-		if epoch >= r.epochs[p] {
-			r.cache[p] = site
-			r.epochs[p] = epoch
-		}
-	}
-	r.mu.Unlock()
+	r.m.ingest(parts, site, epoch)
 	r.feedSeq.Store(seq)
-}
-
-// seedMirror replaces the standby mirror (and routing cache) with a full
-// placement snapshot — HA wiring at start, and re-seeding after a
-// promotion reconciled the map.
-func (r *Replica) seedMirror(placement map[uint64]int, epochs map[uint64]uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cache = make(map[uint64]int, len(placement))
-	r.epochs = make(map[uint64]uint64, len(placement))
-	for p, site := range placement {
-		r.cache[p] = site
-		r.epochs[p] = epochs[p]
-	}
 }
 
 // Mirror copies the standby's mirrored placement: owner and install epoch
 // per partition. Promotion reconciles it against the WAL fold.
-func (r *Replica) Mirror() (map[uint64]int, map[uint64]uint64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	owner := make(map[uint64]int, len(r.cache))
-	epochs := make(map[uint64]uint64, len(r.cache))
-	for p, site := range r.cache {
-		owner[p] = site
-		epochs[p] = r.epochs[p]
-	}
-	return owner, epochs
-}
+func (r *Replica) Mirror() (map[uint64]int, map[uint64]uint64) { return r.m.snapshot() }
 
 // FeedSeq returns the last delta-feed sequence number this standby
 // ingested.
@@ -256,7 +196,7 @@ func (r *Replica) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.V
 	if err := r.forward(transport.MsgOverhead + transport.SizeOfRefs(writeSet)); err != nil {
 		return Route{}, err
 	}
-	route, err := sel.routeWrite(client, writeSet, cvv, sc)
+	route, err := sel.routeParts(client, parts, cvv, sc)
 	if err == nil {
 		r.Learn(parts, route.Site)
 	}
@@ -274,24 +214,19 @@ func (r *Replica) forward(reqSize int) error {
 
 // RouteToMaster is the stale-metadata fallback: the client's transaction
 // was rejected by a data site, so resubmit through the master selector and
-// refresh the cache.
-func (r *Replica) RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return r.RouteToMasterTraced(client, writeSet, cvv, obs.SpanContext{})
-}
-
-// RouteToMasterTraced is RouteToMaster under a sampled distributed trace:
-// the resubmitted decision's remaster chains record their release/grant
-// spans as children of sc.Span, so stale-metadata bounces stay visible in
-// the transaction's trace instead of vanishing between two route spans.
-func (r *Replica) RouteToMasterTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
+// refresh the cache. Under a sampled trace the resubmitted decision's
+// remaster chains record their release/grant spans as children of sc.Span,
+// so stale-metadata bounces stay visible in the transaction's trace.
+func (r *Replica) RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
 	r.resubmits.Add(1)
 	sel := r.sel()
 	if err := r.forward(transport.MsgOverhead + transport.SizeOfRefs(writeSet)); err != nil {
 		return Route{}, err
 	}
-	route, err := sel.routeWrite(client, writeSet, cvv, sc)
+	parts := sel.writeParts(writeSet)
+	route, err := sel.routeParts(client, parts, cvv, sc)
 	if err == nil {
-		r.Learn(sel.writeParts(writeSet), route.Site)
+		r.Learn(parts, route.Site)
 	}
 	return route, err
 }
@@ -312,8 +247,4 @@ func (r *Replica) RouteReadParts(client int, cvv vclock.Vector, parts []uint64) 
 }
 
 // CacheSize returns the number of cached partition locations.
-func (r *Replica) CacheSize() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.cache)
-}
+func (r *Replica) CacheSize() int { return r.m.size() }

@@ -3,18 +3,18 @@ package selector
 import (
 	"testing"
 
+	"dynamast/internal/obs"
 	"dynamast/internal/storage"
 )
 
 func TestReplicatedRouterAssignment(t *testing.T) {
-	sel, _ := newCluster(t, 2, YCSBWeights())
-	// No replicas: everyone gets the master.
-	r0 := NewReplicated(sel, 0, nil)
-	if r0.RouterFor(3) != Router(sel) {
-		t.Fatal("no-replica tier did not return the master")
+	// No replicas: everyone routes through the group.
+	r0, _ := newTier(t, 2, YCSBWeights(), 0)
+	if r0.RouterFor(3) != Router(r0) {
+		t.Fatal("no-replica tier did not return the group")
 	}
-	r2 := NewReplicated(sel, 2, nil)
-	if len(r2.Replicas()) != 2 {
+	r2, _ := newTier(t, 2, YCSBWeights(), 2)
+	if len(r2.Repl(0).Replicas()) != 2 {
 		t.Fatal("replica count")
 	}
 	if r2.RouterFor(0) == r2.RouterFor(1) {
@@ -26,9 +26,8 @@ func TestReplicatedRouterAssignment(t *testing.T) {
 }
 
 func TestReplicaFastPathAvoidsMaster(t *testing.T) {
-	sel, _ := newCluster(t, 2, YCSBWeights())
-	tier := NewReplicated(sel, 1, nil)
-	rep := tier.Replicas()[0]
+	g, _ := newTier(t, 2, YCSBWeights(), 1)
+	sel, rep := g.Shard(0), g.Repl(0).Replicas()[0]
 
 	// Single-sited write set: the replica decides locally; the master's
 	// remaster counter must stay zero.
@@ -53,13 +52,12 @@ func TestReplicaFastPathAvoidsMaster(t *testing.T) {
 }
 
 func TestReplicaForwardsSplitWriteSets(t *testing.T) {
-	sel, sites := newCluster(t, 2, YCSBWeights())
+	g, sites := newTier(t, 2, YCSBWeights(), 1)
+	sel, rep := g.Shard(0), g.Repl(0).Replicas()[0]
 	rel, _ := sites[0].Release([]uint64{1}, 1, 0)
 	sites[1].Grant([]uint64{1}, rel, 0, 0)
 	sel.RegisterPartition(1, 1)
 
-	tier := NewReplicated(sel, 1, nil)
-	rep := tier.Replicas()[0]
 	ws := []storage.RowRef{ref(1), ref(101)}
 	route, err := rep.RouteWrite(1, ws, nil)
 	if err != nil {
@@ -81,9 +79,8 @@ func TestReplicaForwardsSplitWriteSets(t *testing.T) {
 }
 
 func TestReplicaStaleCacheFallback(t *testing.T) {
-	sel, sites := newCluster(t, 2, YCSBWeights())
-	tier := NewReplicated(sel, 1, nil)
-	rep := tier.Replicas()[0]
+	g, sites := newTier(t, 2, YCSBWeights(), 1)
+	sel, rep := g.Shard(0), g.Repl(0).Replicas()[0]
 
 	ws := []storage.RowRef{ref(1)}
 	if _, err := rep.RouteWrite(1, ws, nil); err != nil {
@@ -100,7 +97,7 @@ func TestReplicaStaleCacheFallback(t *testing.T) {
 		t.Fatalf("expected stale route to site 0, got %d", route.Site)
 	}
 	// The data site would reject; the client falls back to the master.
-	route2, err := rep.RouteToMaster(1, ws, nil)
+	route2, err := rep.RouteToMaster(1, ws, nil, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +112,8 @@ func TestReplicaStaleCacheFallback(t *testing.T) {
 }
 
 func TestReplicaRouteRead(t *testing.T) {
-	sel, _ := newCluster(t, 3, YCSBWeights())
-	tier := NewReplicated(sel, 1, nil)
-	rep := tier.Replicas()[0]
+	g, _ := newTier(t, 3, YCSBWeights(), 1)
+	rep := g.Repl(0).Replicas()[0]
 	seen := map[int]bool{}
 	for i := 0; i < 60; i++ {
 		seen[rep.RouteRead(1, nil).Site] = true

@@ -61,38 +61,12 @@ type Config struct {
 	// Spans receives the release/grant spans of sampled traced routing
 	// decisions (RouteWriteTraced); nil disables span recording.
 	Spans *obs.SpanRecorder
-	// Hooks wire this selector into a sharded Group (zero value = the
-	// stand-alone, whole-map selector). They live in the Config so an HA
-	// promotion's rebuilt selector keeps its shard identity.
-	Hooks ShardHooks
-}
 
-// ShardHooks connect one router shard's selector to its Group. Every hook is
-// optional; a nil hook falls back to the selector's own state, which is
-// exactly the single-shard behavior.
-type ShardHooks struct {
-	// Owns reports whether a partition belongs to this shard's range. A
-	// shard never creates (or grants) partitions outside its range: foreign
-	// ids reach it only through scoring, which resolves them read-only via
-	// ForeignMaster.
-	Owns func(part uint64) bool
-	// ForeignMaster resolves the (possibly stale) master hint of a
-	// partition outside this shard's range, for the co-access scoring
-	// features. Never creates state anywhere.
-	ForeignMaster func(part uint64) int
-	// Record replaces the local stats feed: the Group dispatches each
-	// decided write's full partition set to every shard whose stripes need
-	// the sample (cross-shard co-access accounting).
-	Record func(client int, parts []uint64, now time.Time)
-	// AccessWeight and CoAccess read access statistics across the Group
-	// (each shard's tracker only sees samples relevant to its own range).
-	AccessWeight func(part uint64) float64
-	// CoAccess iterates partition d1's co-access probabilities (intra or
-	// inter transaction) from the owning shard's tracker.
-	CoAccess func(d1 uint64, intra bool, fn func(d2 uint64, p float64))
-	// SiteLoads sums materialized per-site load across all shards (the
-	// balance feature must see global load, not one shard's slice).
-	SiteLoads func() []float64
+	// group and shard place this selector in its Group (set by NewGroup;
+	// kept in the Config so an HA promotion's rebuilt selector keeps its
+	// shard identity).
+	group *Group
+	shard int
 }
 
 // Route is a routing decision returned to the client.
@@ -217,9 +191,10 @@ type Selector struct {
 
 	spans *obs.SpanRecorder
 
-	// hooks wire this selector into a sharded Group (see ShardHooks); all
-	// zero on the stand-alone selector.
-	hooks ShardHooks
+	// group is the control plane this selector is shard `shard` of: it
+	// resolves foreign partitions, group-wide statistics and load.
+	group *Group
+	shard int
 
 	ob selectorInstruments
 }
@@ -238,7 +213,8 @@ type selectorInstruments struct {
 	featBalance, featDelay, featIntra, featInter *obs.Gauge
 }
 
-// instrument registers the selector's metrics.
+// instrument registers the selector's metrics. Every shard of a group
+// shares them: the registry returns the same instrument for the same name.
 func (s *Selector) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -250,8 +226,6 @@ func (s *Selector) instrument(reg *obs.Registry) {
 	reg.Help("dynamast_route_seconds", "Routing decision latency (including any remaster wait).")
 	reg.Help("dynamast_remaster_seconds", "Release/grant RPC-chain wait per remastering decision.")
 	reg.Help("dynamast_strategy_feature", "Equation 8 feature scores of the last remaster decision.")
-	reg.Help("dynamast_selector_partitions", "Partitions tracked in the selector's sharded partition map.")
-	reg.Help("dynamast_selector_shard_max_entries", "Largest partition-map shard (residency skew indicator).")
 	s.ob = selectorInstruments{
 		writeTxns:   reg.Counter("dynamast_route_total", obs.L("type", "write")),
 		readTxns:    reg.Counter("dynamast_route_total", obs.L("type", "read")),
@@ -267,34 +241,6 @@ func (s *Selector) instrument(reg *obs.Registry) {
 	}
 	for i := range s.ob.routed {
 		s.ob.routed[i] = reg.Counter("dynamast_routed_total", obs.Site(i))
-	}
-	reg.Func("dynamast_selector_partitions", obs.KindGauge, func() float64 {
-		total, _ := s.shardResidency()
-		return float64(total)
-	})
-	reg.Func("dynamast_selector_shard_max_entries", obs.KindGauge, func() float64 {
-		_, max := s.shardResidency()
-		return float64(max)
-	})
-	if ps := s.placement; ps != nil {
-		reg.Help("dynamast_placement_replicas_total", "Replica-set memberships across all tracked partitions.")
-		reg.Help("dynamast_placement_adds_total", "Replica additions performed by the placement layer.")
-		reg.Help("dynamast_placement_drops_total", "Replica drops performed by the placement layer.")
-		reg.Func("dynamast_placement_replicas_total", obs.KindGauge, func() float64 {
-			ps.mu.RLock()
-			defer ps.mu.RUnlock()
-			n := 0
-			for _, set := range ps.sets {
-				n += len(set)
-			}
-			return float64(n)
-		})
-		reg.Func("dynamast_placement_adds_total", obs.KindCounter, func() float64 {
-			return float64(ps.adds.Load())
-		})
-		reg.Func("dynamast_placement_drops_total", obs.KindCounter, func() float64 {
-			return float64(ps.drops.Load())
-		})
 	}
 }
 
@@ -313,8 +259,8 @@ func (s *Selector) shardResidency() (total, max int) {
 	return total, max
 }
 
-// New constructs a selector.
-func New(cfg Config) (*Selector, error) {
+// newSelector constructs a selector for shard cfg.shard of cfg.group.
+func newSelector(cfg Config) (*Selector, error) {
 	if len(cfg.Sites) == 0 {
 		return nil, fmt.Errorf("selector: no sites")
 	}
@@ -336,7 +282,8 @@ func New(cfg Config) (*Selector, error) {
 		routed:      make([]atomic.Uint64, len(cfg.Sites)),
 		downSites:   make([]atomic.Bool, len(cfg.Sites)),
 		spans:       cfg.Spans,
-		hooks:       cfg.Hooks,
+		group:       cfg.group,
+		shard:       cfg.shard,
 		epochs:      &localEpochs{},
 	}
 	w := cfg.Weights
@@ -409,7 +356,7 @@ func (s *Selector) part(id uint64) *partInfo {
 	// must not act on the sites: the promoted leader's own first sight of
 	// the partition issues the grant instead. A sharded selector never
 	// grants outside its range — the owning shard's first sight does.
-	if !s.deposed.Load() && (s.hooks.Owns == nil || s.hooks.Owns(id)) {
+	if !s.deposed.Load() && s.owns(id) {
 		if _, err := s.sites[master].Grant([]uint64{id}, nil, master, 0); err != nil {
 			// Grant only fails at shutdown; routing will surface the error.
 			_ = err
@@ -617,36 +564,17 @@ func (s *Selector) peekMaster(id uint64) (int, bool) {
 	return int(p.hint.Load()), true
 }
 
+// owns reports whether a partition falls in this shard's range.
+func (s *Selector) owns(id uint64) bool { return s.group.ShardOf(id) == s.shard }
+
 // hintFor resolves a partition's lock-free master hint for scoring: own
-// partitions through the local map, foreign partitions (sharded Group only)
-// through the Group's read-only resolver.
+// partitions through the local map, foreign ones through the group's
+// read-only resolver.
 func (s *Selector) hintFor(id uint64) int {
-	if s.hooks.Owns != nil && !s.hooks.Owns(id) {
-		if s.hooks.ForeignMaster != nil {
-			return s.hooks.ForeignMaster(id)
-		}
-		return s.initial(id)
+	if !s.owns(id) {
+		return s.group.hintOf(id)
 	}
 	return int(s.part(id).hint.Load())
-}
-
-// accessWeight reads a partition's access weight from the Group-wide
-// tracker when sharded, the local tracker otherwise.
-func (s *Selector) accessWeight(id uint64) float64 {
-	if s.hooks.AccessWeight != nil {
-		return s.hooks.AccessWeight(id)
-	}
-	return s.stats.AccessWeight(id)
-}
-
-// coAccess iterates a partition's co-access distribution from the owning
-// shard's tracker when sharded, the local tracker otherwise.
-func (s *Selector) coAccess(d1 uint64, intra bool, fn func(d2 uint64, p float64)) {
-	if s.hooks.CoAccess != nil {
-		s.hooks.CoAccess(d1, intra, fn)
-		return
-	}
-	s.stats.CoAccess(d1, intra, fn)
 }
 
 // writeParts maps a write set to its sorted, deduplicated partition ids.
@@ -695,25 +623,21 @@ func (s *Selector) writePartsLarge(writeSet []storage.RowRef) []uint64 {
 // masters are currently distributed (§V-B). cvv is the client's session
 // vector, used by the refresh-delay feature.
 func (s *Selector) RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return s.routeWrite(client, writeSet, cvv, obs.SpanContext{})
+	return s.routeParts(client, s.writeParts(writeSet), cvv, obs.SpanContext{})
 }
 
-// RouteWriteTraced is RouteWrite under a sampled distributed trace: sc is
-// the route span's context, and any remaster chain records one release span
-// (at the source site) and one grant span (at the destination) per chain as
-// children of sc.Span.
-func (s *Selector) RouteWriteTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	return s.routeWrite(client, writeSet, cvv, sc)
-}
-
-func (s *Selector) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
+// routeParts routes a write set already mapped to its sorted partitions.
+// Under a sampled trace, sc is the route span's context, and any remaster
+// chain records one release span (at the source site) and one grant span
+// (at the destination) per chain as children of sc.Span.
+func (s *Selector) routeParts(client int, parts []uint64, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
 	if s.deposed.Load() {
 		return Route{}, ErrNoLeader
 	}
 	start := time.Now()
-	parts := s.writeParts(writeSet)
 	if len(parts) == 0 {
 		s.writeTxns.Add(1)
+		s.ob.writeTxns.Inc()
 		return Route{Site: 0}, nil
 	}
 	infos := make([]*partInfo, len(parts))
@@ -785,38 +709,49 @@ func (s *Selector) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.
 	if err != nil {
 		return Route{}, err
 	}
-	s.remasterOps.Add(1)
-	s.partsMoved.Add(uint64(moved))
-	s.remastNanos.Add(int64(wait))
-	s.ob.remasters.Inc()
-	s.ob.partsMoved.Add(uint64(moved))
-	s.ob.remastDur.ObserveDuration(wait)
+	s.countRemaster(moved, wait)
 	s.finishWrite(client, parts, dest, start)
 	return Route{Site: dest, MinVV: minVV, Remastered: true, PartsMoved: moved, RemasterWait: wait}, nil
 }
 
 // finishWrite records statistics and routing counters for a decided write
-// (called by the master's own routing paths and by replica selectors'
-// local decisions).
+// (called by the master's own routing paths and by replica selectors' and
+// the placement cache's local decisions). The group dispatches the stats
+// sample to every shard whose stripes need it (cross-shard co-access pairs
+// land on both sides).
 func (s *Selector) finishWrite(client int, parts []uint64, site int, start time.Time) {
 	now := time.Now()
-	elapsed := now.Sub(start)
+	s.countWrite(site, now.Sub(start))
+	s.group.dispatchRecord(client, parts, now)
+	s.bumpLoad(parts, site)
+}
+
+// countWrite counts one routed write transaction.
+func (s *Selector) countWrite(site int, elapsed time.Duration) {
 	s.writeTxns.Add(1)
 	s.routed[site].Add(1)
-	if s.hooks.Record != nil {
-		// Sharded: the Group dispatches the sample to every shard whose
-		// stripes need it (cross-shard co-access pairs land on both sides).
-		s.hooks.Record(client, parts, now)
-	} else {
-		s.stats.RecordWrite(client, parts, now)
-	}
-	s.bumpLoad(parts, site)
 	s.routeNanos.Add(int64(elapsed))
 	s.ob.writeTxns.Inc()
 	if s.ob.routed != nil {
 		s.ob.routed[site].Inc()
 	}
 	s.ob.routeDur.Observe(elapsed.Seconds())
+}
+
+// countRemaster counts one remastering decision.
+func (s *Selector) countRemaster(moved int, wait time.Duration) {
+	s.remasterOps.Add(1)
+	s.partsMoved.Add(uint64(moved))
+	s.remastNanos.Add(int64(wait))
+	s.ob.remasters.Inc()
+	s.ob.partsMoved.Add(uint64(moved))
+	s.ob.remastDur.ObserveDuration(wait)
+}
+
+// countRead counts one routed read transaction.
+func (s *Selector) countRead() {
+	s.readTxns.Add(1)
+	s.ob.readTxns.Inc()
 }
 
 // addFloat CAS-adds d to the float64 bit-cast in a, returning the new value.
@@ -898,22 +833,18 @@ func (s *Selector) chooseDestination(parts []uint64, infos []*partInfo, cvv vclo
 			return infos[i].master
 		}
 		// Lock-free hint: scoring must not acquire locks on partitions
-		// outside the write set (and, sharded, must not create foreign
-		// partitions — hintFor resolves those read-only via the Group).
+		// outside the write set (and must not create another shard's
+		// partitions — hintFor resolves those read-only via the group).
 		return s.hintFor(id)
 	}
 	inWriteSet := func(id uint64) bool { _, ok := inSet[id]; return ok }
 
-	// Current load and the write set's per-partition weights.
-	var before []float64
-	if s.hooks.SiteLoads != nil {
-		before = s.hooks.SiteLoads()
-	} else {
-		before = s.siteLoadSnapshot()
-	}
+	// Group-wide load and the write set's per-partition weights, each read
+	// from the owning shard's tracker.
+	before := s.group.siteLoads()
 	weights := make([]float64, len(parts))
 	for i, id := range parts {
-		w := s.accessWeight(id)
+		w := s.group.ShardFor(id).stats.AccessWeight(id)
 		if w == 0 {
 			w = 1
 		}
@@ -955,10 +886,11 @@ func (s *Selector) chooseDestination(parts []uint64, infos []*partInfo, cvv vclo
 
 		var intra, inter float64
 		for _, d1 := range parts {
-			s.coAccess(d1, true, func(d2 uint64, p float64) {
+			st := s.group.ShardFor(d1).stats
+			st.CoAccess(d1, true, func(d2 uint64, p float64) {
 				intra += p * SingleSited(cand, d1, d2, masterOf, inWriteSet)
 			})
-			s.coAccess(d1, false, func(d2 uint64, p float64) {
+			st.CoAccess(d1, false, func(d2 uint64, p float64) {
 				inter += p * SingleSited(cand, d1, d2, masterOf, inWriteSet)
 			})
 		}
@@ -1191,8 +1123,7 @@ func (s *Selector) remaster(parts []uint64, infos []*partInfo, dest int, sc obs.
 // satisfies it, the least-lagged site is returned (the transaction blocks
 // there the shortest time).
 func (s *Selector) RouteRead(client int, cvv vclock.Vector) Route {
-	s.readTxns.Add(1)
-	s.ob.readTxns.Inc()
+	s.countRead()
 	fresh := make([]int, 0, s.m)
 	bestLag, bestSite := uint64(1)<<63, 0
 	for i, site := range s.sites {

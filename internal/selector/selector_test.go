@@ -17,9 +17,9 @@ func partitionBy100(ref storage.RowRef) uint64 { return ref.Key / 100 }
 
 func ref(key uint64) storage.RowRef { return storage.RowRef{Table: "t", Key: key} }
 
-// newCluster builds m replicating data sites plus a selector whose initial
-// placement puts every partition at site 0.
-func newCluster(t *testing.T, m int, w Weights) (*Selector, []*sitemgr.Site) {
+// newSites builds m replicating data sites over one broker, with partitions
+// 0..49 mastered at site 0.
+func newSites(t *testing.T, m int) ([]*sitemgr.Site, []DataSite, *wal.Broker) {
 	t.Helper()
 	b := wal.NewBroker(m)
 	sites := make([]*sitemgr.Site, m)
@@ -41,30 +41,58 @@ func newCluster(t *testing.T, m int, w Weights) (*Selector, []*sitemgr.Site) {
 	for _, s := range sites {
 		s.Start()
 	}
-	sel, err := New(Config{
-		Sites:       dsites,
-		Partitioner: partitionBy100,
-		Weights:     w,
-		Stats:       StatsConfig{HistorySize: 128},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
 		b.Close()
 		for _, s := range sites {
 			s.Stop()
 		}
 	})
-	return sel, sites
+	return sites, dsites, b
+}
+
+// newTestGroup builds a router group, stopped when the test ends (before
+// the sites it routes to).
+func newTestGroup(tb testing.TB, cfg GroupConfig) *Group {
+	tb.Helper()
+	g, err := NewGroup(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(g.Stop)
+	return g
+}
+
+// newTier builds m replicating data sites fronted by a group of one with
+// the given number of replica selectors; every partition starts at site 0.
+func newTier(t *testing.T, m int, w Weights, replicas int) (*Group, []*sitemgr.Site) {
+	t.Helper()
+	sites, dsites, _ := newSites(t, m)
+	g := newTestGroup(t, GroupConfig{Shards: 1, Replicas: replicas, Selector: Config{
+		Sites:       dsites,
+		Partitioner: partitionBy100,
+		Weights:     w,
+		Stats:       StatsConfig{HistorySize: 128},
+	}})
+	return g, sites
+}
+
+// newCluster builds m replicating data sites plus a group of one, returning
+// its selector; the initial placement puts every partition at site 0.
+func newCluster(t *testing.T, m int, w Weights) (*Selector, []*sitemgr.Site) {
+	t.Helper()
+	g, sites := newTier(t, m, w, 0)
+	return g.Shard(0), sites
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := NewGroup(GroupConfig{Shards: 1}); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := New(Config{Sites: make([]DataSite, 1)}); err == nil {
+	if _, err := NewGroup(GroupConfig{Shards: 1, Selector: Config{Sites: make([]DataSite, 1)}}); err == nil {
 		t.Error("missing partitioner accepted")
+	}
+	if _, err := NewGroup(GroupConfig{Selector: Config{Sites: make([]DataSite, 1), Partitioner: partitionBy100}}); err == nil {
+		t.Error("zero shards accepted")
 	}
 }
 
@@ -531,21 +559,18 @@ func TestRemasterRollbackFencesPhantomGrant(t *testing.T) {
 	for _, s := range sites {
 		s.Start()
 	}
-	sel, err := New(Config{
-		Sites:       dsites,
-		Partitioner: partitionBy100,
-		Weights:     YCSBWeights(),
-		Net:         net,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
 		b.Close()
 		for _, s := range sites {
 			s.Stop()
 		}
 	})
+	sel := newTestGroup(t, GroupConfig{Shards: 1, Selector: Config{
+		Sites:       dsites,
+		Partitioner: partitionBy100,
+		Weights:     YCSBWeights(),
+		Net:         net,
+	}}).Shard(0)
 	info := sel.part(0) // places partition 0 at site 0
 
 	// Everything the destination sends back to the selector is lost: its
@@ -553,7 +578,7 @@ func TestRemasterRollbackFencesPhantomGrant(t *testing.T) {
 	inj.PartitionOneWay(1, transport.SelectorNode)
 
 	info.mu.Lock()
-	_, _, err = sel.remaster([]uint64{0}, []*partInfo{info}, 1, obs.SpanContext{})
+	_, _, err := sel.remaster([]uint64{0}, []*partInfo{info}, 1, obs.SpanContext{})
 	info.mu.Unlock()
 	if err == nil {
 		t.Fatal("remaster with every destination response lost should fail")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"dynamast/internal/vclock"
 	"dynamast/internal/wal"
 )
 
@@ -37,22 +38,25 @@ func newFencePair(t *testing.T) ([]*Site, *wal.Broker) {
 	return sites, b
 }
 
+// TestFenceEpochsBelow fences shard 0 of 1 — the whole map, as a group of
+// one's promotion does.
 func TestFenceEpochsBelow(t *testing.T) {
 	sites, _ := newFencePair(t)
 	s0, s1 := sites[0], sites[1]
+	fence := func(s *Site, floor uint64) uint64 { return s.FenceEpochsBelowRange(floor, 0, 1) }
 
-	if got := s0.EpochFloor(); got != 0 {
-		t.Fatalf("initial floor = %d, want 0", got)
+	if floor, fenced := s0.fencedEpoch([]uint64{1}, 1); fenced {
+		t.Fatalf("initial floor = %d, want none", floor)
 	}
-	if got := s0.FenceEpochsBelow(5); got != 5 {
+	if got := fence(s0, 5); got != 5 {
 		t.Fatalf("fence install returned %d, want 5", got)
 	}
 	// The floor only rises: a lower fence is a no-op returning the one in
 	// effect, re-installing the same floor is idempotent.
-	if got := s0.FenceEpochsBelow(3); got != 5 {
+	if got := fence(s0, 3); got != 5 {
 		t.Fatalf("lower fence returned %d, want 5", got)
 	}
-	if got := s0.FenceEpochsBelow(5); got != 5 {
+	if got := fence(s0, 5); got != 5 {
 		t.Fatalf("idempotent fence returned %d, want 5", got)
 	}
 
@@ -60,7 +64,7 @@ func TestFenceEpochsBelow(t *testing.T) {
 	if _, err := s0.Release([]uint64{1}, 1, 4); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("release below floor: err = %v, want ErrStaleEpoch", err)
 	}
-	s1.FenceEpochsBelow(5)
+	fence(s1, 5)
 	if _, err := s1.Grant([]uint64{1}, nil, 0, 4); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("grant below floor: err = %v, want ErrStaleEpoch", err)
 	}
@@ -91,7 +95,7 @@ func TestFenceEpochsBelow(t *testing.T) {
 	// A dead site still serves the fence (promotion treats fenced and
 	// crashed sites uniformly).
 	s1.Kill()
-	if got := s1.FenceEpochsBelow(9); got != 9 {
+	if got := fence(s1, 9); got != 9 {
 		t.Fatalf("fence on dead site returned %d, want 9", got)
 	}
 }
@@ -147,5 +151,57 @@ func TestFoldMastership(t *testing.T) {
 	owners := RecoverMastership(b, map[uint64]int{3: 0, 4: 0, 5: 0})
 	if owners[3] != 1 || owners[5] != 0 {
 		t.Fatalf("RecoverMastership = %v", owners)
+	}
+}
+
+// TestSameEpochChainsOfTwoShards runs two release/grant chains that carry the
+// same epoch over disjoint partitions, as two router shards' independent
+// allocators issue them: both must take effect (neither may be answered
+// from the other's memo), and retrying either is still a lookup.
+func TestSameEpochChainsOfTwoShards(t *testing.T) {
+	sites, _ := newFencePair(t)
+	s0, s1 := sites[0], sites[1]
+	for _, p := range []uint64{1, 2} {
+		rel, err := s0.Release([]uint64{p}, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s1.Grant([]uint64{p}, rel, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []uint64{1, 2} {
+		if s0.Masters(p) || !s1.Masters(p) {
+			t.Fatalf("partition %d did not move: its epoch-1 chain was answered from the other chain's memo", p)
+		}
+	}
+	if _, err := s0.Release([]uint64{2}, 1, 1); err != nil {
+		t.Fatalf("retried release: %v", err)
+	}
+	if _, err := s1.Grant([]uint64{2}, nil, 0, 1); err != nil {
+		t.Fatalf("retried grant: %v", err)
+	}
+	if s0.Masters(2) || !s1.Masters(2) {
+		t.Fatal("a retried chain changed ownership again")
+	}
+}
+
+// TestEpochMemoEvictsOldestInserted checks the memo keeps the most recent
+// memoLimit results whatever their epochs: shards' allocators advance at
+// different rates, so a slow shard's fresh chain carries a low epoch.
+func TestEpochMemoEvictsOldestInserted(t *testing.T) {
+	var e epochMemo
+	for i := uint64(0); i < memoLimit; i++ {
+		e.put(memoKey{epoch: 1000 + i, part: 1}, vclock.Vector{i})
+	}
+	e.put(memoKey{epoch: 3, part: 2}, vclock.Vector{7}) // a slow shard's chain
+	if vv, ok := e.get(memoKey{epoch: 3, part: 2}); !ok || vv[0] != 7 {
+		t.Fatalf("newest entry = %v/%v, want [7]", vv, ok)
+	}
+	if _, ok := e.get(memoKey{epoch: 1000, part: 1}); ok {
+		t.Fatal("oldest entry kept past the limit")
+	}
+	if _, ok := e.get(memoKey{epoch: 1001, part: 1}); !ok {
+		t.Fatal("second-oldest entry evicted early")
 	}
 }

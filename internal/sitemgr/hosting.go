@@ -43,6 +43,11 @@ type hostingState struct {
 	mu        sync.RWMutex
 	def       func(part uint64) bool // seed membership (nil = host nothing by default)
 	overrides map[uint64]bool        // explicit replica add/drop decisions
+	// filling holds added partitions whose bootstrap copy has not landed:
+	// the appliers already admit their writes, but reads poison with
+	// ErrNotHosted until the copy completes — a read in between would
+	// otherwise miss rows the copy has yet to install.
+	filling map[uint64]bool
 }
 
 func (h *hostingState) hostsLocked(part uint64) bool {
@@ -50,6 +55,20 @@ func (h *hostingState) hostsLocked(part uint64) bool {
 		return v
 	}
 	return h.def != nil && h.def(part)
+}
+
+// readableLocked reports whether reads of part may be served here: the
+// partition is hosted and not mid-bootstrap.
+func (h *hostingState) readableLocked(part uint64) bool {
+	return !h.filling[part] && h.hostsLocked(part)
+}
+
+// filled ends part's bootstrap: reads of it are served from now on.
+func (s *Site) filled(part uint64) {
+	h := s.hosting
+	h.mu.Lock()
+	delete(h.filling, part)
+	h.mu.Unlock()
 }
 
 // PartialReplication reports whether this site hosts only a subset of the
@@ -86,8 +105,9 @@ func (s *Site) unlockAppliers() {
 // vector: the site clock as of the instant the filter started admitting
 // part's writes. Every entry ≤ the flip vector was (or would have been)
 // filtered and must come from a bootstrap copy exported at exactly this
-// vector; every entry > it is delivered by the appliers. No-op (returning
-// nil) on fully replicating sites.
+// vector (BootstrapPartitionFrom or RebuildPartitionFromLogs, which also
+// open the partition to reads); every entry > it is delivered by the
+// appliers. No-op (returning nil) on fully replicating sites.
 func (s *Site) HostPartition(part uint64) vclock.Vector {
 	h := s.hosting
 	if h == nil {
@@ -96,6 +116,7 @@ func (s *Site) HostPartition(part uint64) vclock.Vector {
 	s.lockAppliers()
 	h.mu.Lock()
 	h.overrides[part] = true
+	h.filling[part] = true
 	cut := s.clock.Now()
 	h.mu.Unlock()
 	s.unlockAppliers()
@@ -116,6 +137,7 @@ func (s *Site) UnhostPartition(part uint64) int {
 	s.lockAppliers()
 	h.mu.Lock()
 	h.overrides[part] = false
+	delete(h.filling, part)
 	purged := s.store.PurgeMatching(func(ref storage.RowRef) bool {
 		return s.cfg.Partitioner(ref) == part
 	})
@@ -188,21 +210,23 @@ func (s *Site) ResidentPartitions() int {
 }
 
 // BootstrapPartitionFrom copies part's rows from src as they stood at cut
-// (the flip vector this site's HostPartition returned). The caller must have
-// waited until src's clock dominates cut. Each row installs under the
-// superseding guard: src's bounded version chains can export a version NEWER
-// than cut (see storage.ExportAt), but that version's own log entry is > cut
-// and the applier stream re-delivers it, so skipping rows the target already
-// holds newer state for is always safe. Returns rows copied; the shipped
-// bytes are charged to the replication category.
+// (the flip vector this site's HostPartition returned), then opens part to
+// reads. The caller must have waited until src's clock dominates cut. Each
+// row installs under the superseding guard judged at cut: the appliers have
+// been installing part's entries > cut since the flip, and a row whose head
+// is such an entry is newer than the copy and keeps it. src's bounded
+// version chains can export a version NEWER than cut (see storage.ExportAt),
+// but that version's own log entry is > cut and the applier stream delivers
+// it, so skipping rows the target already holds newer state for is always
+// safe. Returns rows copied; the shipped bytes are charged to the
+// replication category.
 func (s *Site) BootstrapPartitionFrom(src *Site, part uint64, cut vclock.Vector) int {
-	srcVV := src.clock.Now()
 	rows, bytes := 0, 0
 	src.store.ExportAt(cut, func(table string, key uint64, data []byte, stamp storage.Stamp) bool {
 		if s.cfg.Partitioner(storage.RowRef{Table: table, Key: key}) != part {
 			return true
 		}
-		if s.store.ImportRowSuperseding(table, key, data, stamp, srcVV) {
+		if s.store.ImportRowSuperseding(table, key, data, stamp, cut) {
 			rows++
 			bytes += 10 + 3 + len(data) // refOverhead + flags, as SizeOfWrites prices a row
 		}
@@ -211,6 +235,7 @@ func (s *Site) BootstrapPartitionFrom(src *Site, part uint64, cut vclock.Vector)
 	if rows > 0 {
 		s.net.Account(transport.CatReplication, transport.MsgOverhead+bytes)
 	}
+	s.filled(part)
 	return rows
 }
 
@@ -274,5 +299,6 @@ func (s *Site) RebuildPartitionFromLogs(part uint64, cut vclock.Vector) int {
 			installed++
 		}
 	}
+	s.filled(part)
 	return installed
 }

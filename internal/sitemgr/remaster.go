@@ -21,22 +21,47 @@ import (
 // in tests and by initial-placement grants, which have no coordinator
 // allocating epochs; it performs no memoization and no fencing.
 
-// memoLimit bounds the per-site epoch memo maps; epochs are allocated
-// monotonically, so entries far below the newest are dead (their chains
-// finished long ago) and are pruned in batches.
+// memoLimit bounds each per-site memo: a chain finishes (and stops
+// retrying) within milliseconds, so an entry memoLimit inserts old is dead.
+// Pruning goes by insertion order, not by epoch distance, because epochs
+// from different router shards' allocators advance at different rates.
 const memoLimit = 512
 
-// memoize records an epoch's result in m, pruning stale epochs when the
-// map grows past memoLimit. Caller holds s.remu.
-func memoize(m map[uint64]vclock.Vector, epoch uint64, vv vclock.Vector) {
-	m[epoch] = vv
-	if len(m) > memoLimit {
-		for e := range m {
-			if e+memoLimit/2 < epoch {
-				delete(m, e)
-			}
-		}
+// memoKey names one release or grant for its idempotent retries: the
+// chain's epoch and its first partition. Each router shard allocates its
+// own epochs, so chains of two shards can carry the same epoch; their
+// partition sets are disjoint, so the first partition tells them apart.
+type memoKey struct{ epoch, part uint64 }
+
+func memoKeyOf(epoch uint64, parts []uint64) memoKey {
+	k := memoKey{epoch: epoch}
+	if len(parts) > 0 {
+		k.part = parts[0]
 	}
+	return k
+}
+
+// epochMemo holds the results of the last memoLimit releases (or grants).
+// Caller holds s.remu.
+type epochMemo struct {
+	m    map[memoKey]vclock.Vector
+	ring [memoLimit]memoKey // insertion order; the oldest is evicted next
+	next int
+}
+
+func (e *epochMemo) get(k memoKey) (vclock.Vector, bool) {
+	vv, ok := e.m[k]
+	return vv, ok
+}
+
+func (e *epochMemo) put(k memoKey, vv vclock.Vector) {
+	if e.m == nil {
+		e.m = make(map[memoKey]vclock.Vector, memoLimit)
+	}
+	delete(e.m, e.ring[e.next])
+	e.ring[e.next] = k
+	e.next = (e.next + 1) % memoLimit
+	e.m[k] = vv
 }
 
 // Release relinquishes this site's mastership of the given partitions and
@@ -61,7 +86,7 @@ func memoize(m map[uint64]vclock.Vector, epoch uint64, vv vclock.Vector) {
 func (s *Site) Release(parts []uint64, to int, epoch uint64) (vclock.Vector, error) {
 	if epoch != 0 {
 		s.remu.Lock()
-		if vv, ok := s.relMemo[epoch]; ok {
+		if vv, ok := s.relMemo.get(memoKeyOf(epoch, parts)); ok {
 			s.remu.Unlock()
 			return vv, nil
 		}
@@ -109,7 +134,7 @@ func (s *Site) Release(parts []uint64, to int, epoch uint64) (vclock.Vector, err
 	s.pmu.Unlock()
 
 	// The {floor check, append, flip} section runs under the fence read
-	// lock: either it completes entirely before a FenceEpochsBelow returns
+	// lock: either it completes entirely before a FenceEpochsBelowRange returns
 	// (the promotion's WAL fold then sees the release), or it observes the
 	// new floor and rejects before touching the log.
 	s.fenceMu.RLock()
@@ -166,7 +191,7 @@ func (s *Site) Release(parts []uint64, to int, epoch uint64) (vclock.Vector, err
 	}
 	if epoch != 0 {
 		s.remu.Lock()
-		memoize(s.relMemo, epoch, relVV)
+		s.relMemo.put(memoKeyOf(epoch, parts), relVV)
 		s.remu.Unlock()
 	}
 	return relVV, nil
@@ -194,7 +219,7 @@ func (s *Site) writersIdle(parts []uint64) bool {
 func (s *Site) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64) (vclock.Vector, error) {
 	if epoch != 0 {
 		s.remu.Lock()
-		if vv, ok := s.grantMemo[epoch]; ok {
+		if vv, ok := s.grantMemo.get(memoKeyOf(epoch, parts)); ok {
 			s.remu.Unlock()
 			return vv, nil
 		}
@@ -230,7 +255,7 @@ func (s *Site) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64
 
 	// As in Release, the {floor check, append, flip} section holds the
 	// fence read lock: a grant either lands in the log before a
-	// FenceEpochsBelow returns, or dies on the floor without logging.
+	// FenceEpochsBelowRange returns, or dies on the floor without logging.
 	s.fenceMu.RLock()
 	if epoch != 0 {
 		if floor, fenced := s.fencedEpoch(parts, epoch); fenced {
@@ -279,7 +304,7 @@ func (s *Site) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64
 	now := s.clock.Now()
 	if epoch != 0 {
 		s.remu.Lock()
-		memoize(s.grantMemo, epoch, now)
+		s.grantMemo.put(memoKeyOf(epoch, parts), now)
 		s.remu.Unlock()
 	}
 	return now, nil
@@ -287,34 +312,3 @@ func (s *Site) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64
 
 // RemastersReceived returns how many grant operations this site served.
 func (s *Site) RemastersReceived() uint64 { return s.remasterIn.Load() }
-
-// FenceEpochsBelow installs a site-wide remaster-epoch fence: every
-// subsequent Release or Grant carrying a nonzero epoch below floor is
-// rejected with ErrStaleEpoch. A promoted selector fences every site with a
-// freshly allocated epoch BEFORE folding the sites' logs, so a deposed
-// coordinator's in-flight chains can no longer change ownership once the
-// fold runs; taking the fence write lock additionally waits out any
-// release/grant already past its floor check, whose log append is therefore
-// visible to the fold. The floor only ever rises; the floor in effect is
-// returned. Epoch-0 (unfenced, coordinator-less) operations are unaffected.
-//
-// The fence is deliberately served even while the site is down: a dead site
-// refuses all operations anyway, and keeping the call infallible lets a
-// promotion treat "fenced" and "crashed" sites uniformly.
-func (s *Site) FenceEpochsBelow(floor uint64) uint64 {
-	s.fenceMu.Lock()
-	defer s.fenceMu.Unlock()
-	for {
-		cur := s.epochFloor.Load()
-		if cur >= floor {
-			return cur
-		}
-		if s.epochFloor.CompareAndSwap(cur, floor) {
-			return floor
-		}
-	}
-}
-
-// EpochFloor returns the site-wide remaster-epoch fence currently in effect
-// (0 = never fenced).
-func (s *Site) EpochFloor() uint64 { return s.epochFloor.Load() }

@@ -197,28 +197,23 @@ type Site struct {
 	// mastership operation fails fast with ErrSiteDown.
 	down atomic.Bool
 
-	// epochFloor is the site-wide remaster-epoch fence installed by a
-	// promoted selector (FenceEpochsBelow): release/grant operations
-	// carrying a nonzero epoch below the floor are rejected with
-	// ErrStaleEpoch, so a deposed coordinator's in-flight chains cannot
-	// change ownership after the new coordinator has taken over. fenceMu
-	// orders floor installation against in-flight release/grant
-	// {floor-check, WAL-append, ownership-flip} sections: once
-	// FenceEpochsBelow returns, every operation the site will still
-	// complete is already in its log — a promotion's WAL fold misses
-	// nothing.
-	epochFloor atomic.Uint64
-	fenceMu    sync.RWMutex
-
-	// rangeFences holds per-router-shard epoch floors installed by
-	// FenceEpochsBelowRange (nil until a sharded selector promotes, so the
-	// single-shard hot path never scans it). Updated under fenceMu.
+	// rangeFences holds the remaster-epoch floors promoted router shards
+	// installed, one per shard range (FenceEpochsBelowRange): release/grant
+	// operations over a fenced range carrying a nonzero epoch below its
+	// floor are rejected with ErrStaleEpoch, so a deposed coordinator's
+	// in-flight chains cannot change ownership after the new coordinator
+	// has taken over. nil until the first fence. fenceMu orders fence
+	// installation against in-flight release/grant {floor-check,
+	// WAL-append, ownership-flip} sections: once a fence call returns,
+	// every operation the site will still complete is already in its log
+	// — a promotion's WAL fold misses nothing.
 	rangeFences atomic.Pointer[[]rangeFence]
+	fenceMu     sync.RWMutex
 
-	// remu guards the epoch memo maps (idempotent release/grant retries).
+	// remu guards the epoch memos (idempotent release/grant retries).
 	remu      sync.Mutex
-	relMemo   map[uint64]vclock.Vector
-	grantMemo map[uint64]vclock.Vector
+	relMemo   epochMemo
+	grantMemo epochMemo
 
 	// Counters for experiment reporting.
 	commits    atomic.Uint64
@@ -330,25 +325,24 @@ func New(cfg Config) (*Site, error) {
 		cfg.PropagationDelay = cfg.Net.Config().OneWay
 	}
 	s := &Site{
-		cfg:       cfg,
-		id:        cfg.SiteID,
-		m:         cfg.Sites,
-		clock:     vclock.NewSiteClock(cfg.SiteID, cfg.Sites),
-		store:     storage.NewStore(cfg.MaxVersions),
-		log:       cfg.Broker.Log(cfg.SiteID),
-		net:       cfg.Net,
-		parts:     make(map[uint64]*partState),
-		prepared:  make(map[uint64]*preparedTxn),
-		stopped:   make(chan struct{}),
-		pool:      newExecPool(cfg.ExecSlots),
-		relMemo:   make(map[uint64]vclock.Vector),
-		grantMemo: make(map[uint64]vclock.Vector),
-		applyMu:   make([]sync.Mutex, cfg.Sites),
+		cfg:      cfg,
+		id:       cfg.SiteID,
+		m:        cfg.Sites,
+		clock:    vclock.NewSiteClock(cfg.SiteID, cfg.Sites),
+		store:    storage.NewStore(cfg.MaxVersions),
+		log:      cfg.Broker.Log(cfg.SiteID),
+		net:      cfg.Net,
+		parts:    make(map[uint64]*partState),
+		prepared: make(map[uint64]*preparedTxn),
+		stopped:  make(chan struct{}),
+		pool:     newExecPool(cfg.ExecSlots),
+		applyMu:  make([]sync.Mutex, cfg.Sites),
 	}
 	if cfg.PartialReplication {
 		s.hosting = &hostingState{
 			def:       cfg.DefaultHosted,
 			overrides: make(map[uint64]bool),
+			filling:   make(map[uint64]bool),
 		}
 	}
 	if cfg.ApplySlots == 0 {

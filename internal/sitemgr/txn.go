@@ -172,7 +172,7 @@ func (t *Txn) Read(ref storage.RowRef) ([]byte, bool) {
 	if h := s.hosting; h != nil {
 		part := s.cfg.Partitioner(ref)
 		h.mu.RLock()
-		if !h.hostsLocked(part) {
+		if !h.readableLocked(part) {
 			h.mu.RUnlock()
 			t.poisonNotHosted(part)
 			return nil, false
@@ -246,7 +246,7 @@ func (t *Txn) scanRangeHosted(table string, lo, hi uint64) bool {
 			continue
 		}
 		last, has = p, true
-		if !t.site.hosting.hostsLocked(p) {
+		if !t.site.hosting.readableLocked(p) {
 			t.poisonNotHosted(p)
 			ok = false
 		}

@@ -83,6 +83,10 @@ func (r *Record) Unlock() { <-r.lock }
 func (r *Record) Install(stamp Stamp, data []byte, deleted bool, maxVersions int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.installLocked(stamp, data, deleted, maxVersions)
+}
+
+func (r *Record) installLocked(stamp Stamp, data []byte, deleted bool, maxVersions int) {
 	r.versions = append(r.versions, version{})
 	copy(r.versions[1:], r.versions)
 	r.versions[0] = version{stamp: stamp, data: data, deleted: deleted}
@@ -130,15 +134,20 @@ func (r *Record) ReadLatest() (data []byte, stamp Stamp, ok bool) {
 	return r.versions[0].data, r.versions[0].stamp, true
 }
 
-// HeadStamp returns the stamp of the newest version (tombstone or not);
-// ok is false only for records with no versions at all.
-func (r *Record) HeadStamp() (Stamp, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.versions) == 0 {
-		return Stamp{}, false
+// installSuperseding installs an imported version unless the head version
+// (tombstone or not) is exactly it or is not visible at guard. The check and
+// the install share one critical section, so an applier install racing the
+// import can never end up buried under it.
+func (r *Record) installSuperseding(stamp Stamp, data []byte, guard vclock.Vector, maxVersions int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.versions) > 0 {
+		if head := r.versions[0].stamp; head == stamp || !head.VisibleAt(guard) {
+			return false
+		}
 	}
-	return r.versions[0].stamp, true
+	r.installLocked(stamp, data, false, maxVersions)
+	return true
 }
 
 // VersionCount returns the current length of the version chain.

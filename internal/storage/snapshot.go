@@ -95,8 +95,8 @@ func (r *Record) ExportAt(snap vclock.Vector) (data []byte, stamp Stamp, ok bool
 // ImportRowSuperseding installs a row exported from another store, guarded
 // against shadowing newer local state: the import proceeds only when the
 // record is empty, or when the local head version was already contained in
-// the exporter's snapshot (srcVV) — meaning the exported version is at least
-// as new as anything held here. A local head NOT visible at srcVV is ahead
+// the snapshot the row was exported at (srcVV) — meaning the exported
+// version is at least as new as anything held here. A local head NOT visible at srcVV is ahead
 // of the exporter (it arrived through a path the exporter had not observed)
 // and must not be buried; version chains are newest-first, so a late stale
 // install would poison every subsequent snapshot read. Every row import
@@ -106,16 +106,5 @@ func (r *Record) ExportAt(snap vclock.Vector) (data []byte, stamp Stamp, ok bool
 // whose writes were filtered out (partial replication advances the svv
 // past skipped entries), so a guard on it would wrongly skip rows.
 func (s *Store) ImportRowSuperseding(table string, key uint64, data []byte, stamp Stamp, srcVV vclock.Vector) bool {
-	t := s.CreateTable(table)
-	r := t.Record(key, true)
-	if head, ok := r.HeadStamp(); ok {
-		if head == stamp {
-			return false // exactly this version is already installed
-		}
-		if !head.VisibleAt(srcVV) {
-			return false // local state is ahead of the exporter
-		}
-	}
-	r.Install(stamp, data, false, s.maxVersions)
-	return true
+	return s.CreateTable(table).Record(key, true).installSuperseding(stamp, data, srcVV, s.maxVersions)
 }
