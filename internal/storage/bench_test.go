@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"dynamast/internal/vclock"
@@ -95,4 +96,26 @@ func BenchmarkStoreApply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Apply(Stamp{0, uint64(i + 1)}, writes)
 	}
+}
+
+// BenchmarkStoreApplyParallel applies three-row write sets from every
+// GOMAXPROCS goroutine at once, each to its own rows, as concurrent commits
+// and refresh installs do: the table lookup must not serialize them.
+func BenchmarkStoreApplyParallel(b *testing.B) {
+	s := NewStore(0)
+	s.CreateTable("t")
+	var workers atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		base := workers.Add(1) * 3
+		writes := []Write{
+			{Ref: RowRef{"t", base}, Data: make([]byte, 100)},
+			{Ref: RowRef{"t", base + 1}, Data: make([]byte, 100)},
+			{Ref: RowRef{"t", base + 2}, Data: make([]byte, 100)},
+		}
+		for seq := uint64(1); pb.Next(); seq++ {
+			s.Apply(Stamp{0, seq}, writes)
+		}
+	})
 }

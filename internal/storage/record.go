@@ -6,11 +6,14 @@
 // site and that site's commit sequence number; a transaction reading at
 // snapshot vector snap sees the newest version whose stamp (origin, seq)
 // satisfies seq <= snap[origin]. Concurrent writers to the same record are
-// mutually excluded with per-record locks (writes block, they do not
-// abort); readers never block.
+// mutually excluded with a per-record mutex (writes block, they do not
+// abort); readers never block on it.
 //
 // The store keeps a bounded number of versions per record (four by default,
 // matching the paper's empirically chosen setting) and discards older ones.
+// A bounded chain never holds more than its cap of slots: once full, an
+// install shifts the chain in place and overwrites the oldest version, so a
+// row's footprint is fixed by the cap rather than by its update history.
 package storage
 
 import (
@@ -46,53 +49,61 @@ type version struct {
 
 // Record is a multi-versioned row. The write lock (Lock/Unlock) mutually
 // excludes transactions updating the record and is held for the duration of
-// the owning transaction; Install appends versions while locked. Refresh
+// the owning transaction; Install prepends versions while locked. Refresh
 // transactions installing propagated updates use the same lock briefly.
+//
+// The write lock is a plain sync.Mutex: a Go mutex is not tied to the
+// goroutine that locked it, so the commit path of a networked database may
+// release it from another goroutine. Releasing an unlocked record is a fatal
+// runtime error. Under a cap, the version chain's backing array never grows
+// past the cap.
 type Record struct {
-	lock chan struct{} // 1-slot semaphore: usable across goroutines
+	lock sync.Mutex // write lock
 
 	mu       sync.RWMutex // guards versions
-	versions []version    // newest first
+	versions []version    // newest first; cap(versions) <= maxVersions when bounded
 }
 
-func newRecord() *Record {
-	return &Record{lock: make(chan struct{}, 1)}
-}
+func newRecord() *Record { return &Record{} }
 
 // Lock acquires the record's write lock, blocking until available.
-func (r *Record) Lock() { r.lock <- struct{}{} }
+func (r *Record) Lock() { r.lock.Lock() }
 
 // TryLock acquires the write lock if it is free and reports success.
-func (r *Record) TryLock() bool {
-	select {
-	case r.lock <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
+func (r *Record) TryLock() bool { return r.lock.TryLock() }
 
-// Unlock releases the write lock. Unlike sync.Mutex it may be released by a
-// different goroutine than the one that acquired it, which the commit path
-// of a networked database needs.
-func (r *Record) Unlock() { <-r.lock }
+// Unlock releases the write lock. It may be called from a different
+// goroutine than the one that acquired it.
+func (r *Record) Unlock() { r.lock.Unlock() }
 
-// Install prepends a new version. maxVersions bounds the chain length; 0
-// means unbounded. Callers hold the write lock (local updates) or are the
-// single refresh applier for the record's partition.
+// Install prepends a new version. A positive maxVersions bounds the chain:
+// once it holds that many versions, the oldest is discarded. Zero or a
+// negative maxVersions means unbounded. Callers hold the write lock (local
+// updates) or are the single refresh applier for the record's partition.
 func (r *Record) Install(stamp Stamp, data []byte, deleted bool, maxVersions int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.installLocked(stamp, data, deleted, maxVersions)
 }
 
+// installLocked prepends a version. A bounded chain grows its backing array
+// by doubling up to maxVersions slots and, once full, shifts in place so the
+// new version overwrites the oldest: no install allocates past the cap, and
+// no evicted version stays reachable from a spare slot.
 func (r *Record) installLocked(stamp Stamp, data []byte, deleted bool, maxVersions int) {
-	r.versions = append(r.versions, version{})
+	n := len(r.versions)
+	switch {
+	case maxVersions > 0 && n >= maxVersions:
+		r.versions = r.versions[:maxVersions]
+	case maxVersions > 0 && n == cap(r.versions):
+		grown := make([]version, n+1, min(max(2*n, 1), maxVersions))
+		copy(grown, r.versions)
+		r.versions = grown
+	default:
+		r.versions = append(r.versions, version{})
+	}
 	copy(r.versions[1:], r.versions)
 	r.versions[0] = version{stamp: stamp, data: data, deleted: deleted}
-	if maxVersions > 0 && len(r.versions) > maxVersions {
-		r.versions = r.versions[:maxVersions]
-	}
 }
 
 // Read returns the newest version visible at snap. ok is false if no

@@ -87,7 +87,7 @@ func TestExportAtEvictedVersionFallsForward(t *testing.T) {
 // TestExportAtConcurrentWriters checks the export walk holds no lock that a
 // committing writer needs: writers make progress while a slow export streams.
 func TestExportAtConcurrentWriters(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(-1) // unbounded: no install may evict the seed version
 	for k := uint64(0); k < 200; k++ {
 		s.Apply(Stamp{Origin: 0, Seq: k + 1}, []Write{
 			{Ref: RowRef{Table: "t", Key: k}, Data: []byte("seed")},

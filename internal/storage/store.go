@@ -21,8 +21,9 @@ type Store struct {
 	tables map[string]*Table
 }
 
-// NewStore returns an empty store keeping maxVersions versions per record
-// (DefaultMaxVersions if maxVersions is 0).
+// NewStore returns an empty store keeping maxVersions versions per record.
+// Zero selects DefaultMaxVersions; a negative maxVersions keeps every
+// version (unbounded chains).
 func NewStore(maxVersions int) *Store {
 	if maxVersions == 0 {
 		maxVersions = DefaultMaxVersions
@@ -33,11 +34,16 @@ func NewStore(maxVersions int) *Store {
 	}
 }
 
-// MaxVersions returns the store's version chain cap.
+// MaxVersions returns the store's version chain cap (negative: unbounded).
 func (s *Store) MaxVersions() int { return s.maxVersions }
 
 // CreateTable creates (or returns the existing) table with the given name.
+// An existing table is found under the read lock, so callers on the commit
+// and refresh paths do not serialize on the store.
 func (s *Store) CreateTable(name string) *Table {
+	if t := s.Table(name); t != nil {
+		return t
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.tables[name]; ok {
